@@ -99,6 +99,24 @@ void GcWorkerPool::threadMain(unsigned Id) {
 // MarkWorkList
 //===----------------------------------------------------------------------===//
 
+namespace {
+
+/// Moves an armed quota by \p Delta with a compare-exchange loop that
+/// never takes it across 0: a spent (0) or unlimited (negative) quota is
+/// left as it is, so 0 stays absorbing (see GcWorkers.h) and no
+/// transient value below 0 ever reads as "unlimited". Returns the value
+/// it found.
+int64_t moveQuota(std::atomic<int64_t> &Quota, int64_t Delta) {
+  int64_t Q = Quota.load(std::memory_order_relaxed);
+  while (Q > 0 && !Quota.compare_exchange_weak(Q, Q + Delta,
+                                               std::memory_order_acq_rel,
+                                               std::memory_order_relaxed))
+    ;
+  return Q;
+}
+
+} // namespace
+
 MarkWorkList::MarkWorkList(unsigned NumWorkers, size_t ChunkItems,
                            size_t MaxDequeChunks)
     : NumWorkers(std::max(1u, NumWorkers)), ChunkItems(ChunkItems),
@@ -110,17 +128,6 @@ MarkWorkList::MarkWorkList(unsigned NumWorkers, size_t ChunkItems,
     // Stagger steal order so thieves don't all hammer worker 0 first.
     W.back()->NextVictim = (I + 1) % this->NumWorkers;
   }
-}
-
-void MarkWorkList::seed(unsigned Worker, Item Obj) {
-  WorkerState &S = *W[Worker];
-  if (S.Chunks.empty() || S.Chunks.back().size() >= ChunkItems) {
-    S.Chunks.emplace_back();
-    S.Chunks.back().reserve(ChunkItems);
-  }
-  S.Chunks.back().push_back(Obj);
-  S.ChunkCount.store(S.Chunks.size(), std::memory_order_relaxed);
-  S.PeakChunks = std::max(S.PeakChunks, S.Chunks.size());
 }
 
 void MarkWorkList::push(unsigned Worker, Item Obj) {
@@ -156,14 +163,11 @@ void MarkWorkList::publish(unsigned Worker, std::vector<Item> Chunk) {
 }
 
 bool MarkWorkList::pop(unsigned Worker, Item &Out) {
-  // Budgeted increments debit the quota up front and refund on failure,
-  // so successful pops match debits exactly: an increment scans
-  // min(quota, available work) under any worker schedule.
-  bool Debited = Quota.load(std::memory_order_relaxed) >= 0;
-  if (Debited && Quota.fetch_sub(1, std::memory_order_acq_rel) <= 0) {
-    Quota.fetch_add(1, std::memory_order_relaxed);
+  // Budgeted increments debit the quota up front and refund on failure.
+  int64_t Q = moveQuota(Quota, -1);
+  if (Q == 0)
     return false;
-  }
+  bool Debited = Q > 0;
   WorkerState &S = *W[Worker];
   if (!S.Local.empty()) {
     Out = S.Local.back();
@@ -179,8 +183,8 @@ bool MarkWorkList::pop(unsigned Worker, Item &Out) {
     // strand the remaining spinners). The dropped debit only means
     // this increment scans slightly under budget; the shortfall stays
     // queued for the next one.
-    if (Debited && Quota.load(std::memory_order_acquire) != 0)
-      Quota.fetch_add(1, std::memory_order_relaxed);
+    if (Debited)
+      moveQuota(Quota, +1);
     return false;
   }
   Out = S.Local.back();

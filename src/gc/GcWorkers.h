@@ -113,12 +113,6 @@ public:
   MarkWorkList(unsigned NumWorkers, size_t ChunkItems,
                size_t MaxDequeChunks);
 
-  /// Pre-phase seeding from the coordinating thread (no workers running
-  /// yet): appends directly to \p Worker's deque. Seed chunks may exceed
-  /// MaxDequeChunks for giant root sets; the bound governs growth during
-  /// the trace itself.
-  void seed(unsigned Worker, Item Obj);
-
   void push(unsigned Worker, Item Obj);
 
   /// Pops the next item for \p Worker, refilling from its own deque, a
@@ -142,15 +136,19 @@ public:
   /// An incremental mark step arms a quota of successful pops; once it
   /// is spent every pop returns false while the remaining frontier stays
   /// queued for the next increment. Pops debit the quota up front and
-  /// refund on failure, except when the quota reads spent at refund time:
-  /// then the debit is dropped, because reviving a quota that other
-  /// workers already exited on would strand the remaining idle spinners
-  /// (see pop()). An increment therefore scans *at most* quota objects -
-  /// possibly a few under, with the shortfall left queued - and the final
-  /// marked set is independent of budget and worker schedule either way.
-  /// reopen() rearms the list between increments: it clears the sticky
-  /// termination state a drained step leaves behind and must only be
-  /// called at a barrier (no worker inside pop).
+  /// refund on failure. Debit and refund are compare-exchange loops that
+  /// never take the quota across 0: a debit fails on a spent quota
+  /// instead of pushing it negative, and a refund that finds the quota
+  /// spent is dropped. So 0 is absorbing until the next setQuota() or
+  /// reopen() - which is what lets the idle spinners in refill() exit on
+  /// it, since workers that leave on a failed debit never count toward
+  /// NumIdle. (A quota revived after those workers left would strand the
+  /// spinners for good.) An increment therefore scans *at most* quota
+  /// objects - possibly a few under, with the shortfall left queued -
+  /// and the final marked set is independent of budget and worker
+  /// schedule either way. reopen() rearms the list between increments:
+  /// it clears the sticky termination state a drained step leaves behind
+  /// and must only be called at a barrier (no worker inside pop).
   /// @{
   void setQuota(int64_t Limit) {
     Quota.store(Limit, std::memory_order_relaxed);

@@ -22,6 +22,17 @@
 
 using namespace wearmem;
 
+namespace {
+
+/// Whole microseconds since \p Start (Timing-domain metrics only).
+uint64_t usSince(std::chrono::steady_clock::time_point Start) {
+  return static_cast<uint64_t>(std::chrono::duration<double, std::micro>(
+                                   std::chrono::steady_clock::now() - Start)
+                                   .count());
+}
+
+} // namespace
+
 Heap::Heap(const HeapConfig &Config)
     : Config(Config), Os_(Config.BudgetPages, Config.Failures,
                           std::max<size_t>(32 * KiB, Config.BlockSize)),
@@ -425,6 +436,13 @@ double Heap::collect(CollectionKind Kind) {
   return LastYield;
 }
 
+size_t Heap::stopWorld() {
+  size_t Stopped = Safepoints.stopTheWorld();
+  if (Stopped)
+    ++Stats.SafepointStops;
+  return Stopped;
+}
+
 void Heap::runCollection(CollectionKind Kind) {
   // Kill point between batch-recovery phases: failed lines are fenced
   // (and journaled), the defragmenting collection has not started.
@@ -434,120 +452,22 @@ void Heap::runCollection(CollectionKind Kind) {
   // park or sit in a blocked region before the trace may touch the
   // heap. The kill point lands *inside* the handshake window - the
   // world is stopped, the trace has not begun.
-  size_t Stopped = Safepoints.stopTheWorld();
-  if (Stopped) {
-    ++Stats.SafepointStops;
-    if (Journal)
-      Journal->crashPoint(CrashPoint::SafepointHandshake);
-  }
+  size_t Stopped = stopWorld();
+  if (Stopped && Journal)
+    Journal->crashPoint(CrashPoint::SafepointHandshake);
   InCollection = true;
-  auto Start = std::chrono::steady_clock::now();
+  auto Start = Clock::now();
+  // The whole pipeline inside one pause: open, an unbudgeted drain,
+  // close.
   bool Full = Kind == CollectionKind::Full;
-  ++Stats.GcCount;
-  WEARMEM_COUNT_DET("gc.collections");
-  if (Full)
-    WEARMEM_COUNT_DET("gc.collections.full");
-  WEARMEM_TRACE(GcBegin, Stats.GcCount, Full ? 1 : 0);
-
-  // Every lane TLAB lapses; the sweep reclassifies their blocks.
-  forEachLaneAllocator([](ImmixAllocator &A) { A.retire(); });
-
-  if (Full) {
-    ++Stats.FullGcCount;
-    NurseryGcsSinceFull = 0;
-    uint8_t Prev = Epoch;
-    Epoch = nextEpoch(Epoch);
-    if (Epoch == 1)
-      remapMarksOnWrap(Prev);
-    if (Immix) {
-      // Defragmentation candidates are chosen from the previous sweep's
-      // statistics; evacuation holes are found at the *previous* epoch so
-      // not-yet-marked live lines cannot be mistaken for free space.
-      Immix->selectDefragCandidates();
-      EvacAllocator->setHoleEpochs(Prev, Epoch);
-    }
-    // The mutation log is superseded by the full trace. Entries are
-    // chased through forwarding before the flag clear: a large-object
-    // relocation between collections forwards the logged husk, and
-    // clearing only the husk would strand a set logged flag on the live
-    // copy - silently disabling its write barrier for good.
-    for (ObjRef Logged : ModBuf) {
-      while (isForwarded(Logged))
-        Logged = forwardee(Logged);
-      clearObjectFlag(Logged, FlagLogged);
-    }
-    ModBuf.clear();
-  } else {
-    ++Stats.NurseryGcCount;
-    ++NurseryGcsSinceFull;
-    if (Immix)
-      EvacAllocator->setHoleEpochs(Epoch, Epoch);
-  }
-
-  // Trace, in three phases (see Heap.h): parallel claim-and-mark,
-  // serial address-ordered evacuation, parallel reference fixup. Any
-  // worker interleaving yields the same post-collection heap state.
-  WEARMEM_TRACE(PhaseBegin, 0, Stats.GcCount);
-  auto MarkStart = std::chrono::steady_clock::now();
-  markPhase(Kind);
-  // Mark-phase wall time: Timing domain only (perf04 compares it
-  // against the incremental steps' bounded pauses).
-  WEARMEM_COUNT_TIMING_N(
-      "gc.mark_us_total",
-      static_cast<uint64_t>(std::chrono::duration<double, std::micro>(
-                                std::chrono::steady_clock::now() - MarkStart)
-                                .count()));
-  WEARMEM_TRACE(PhaseEnd, 0, Stats.GcCount);
-  WEARMEM_TRACE(PhaseBegin, 1, Stats.GcCount);
-  evacuatePhase();
-  WEARMEM_TRACE(PhaseEnd, 1, Stats.GcCount);
-  WEARMEM_TRACE(PhaseBegin, 2, Stats.GcCount);
-  fixupPhase();
-  WEARMEM_TRACE(PhaseEnd, 2, Stats.GcCount);
-
-  sweepPhase();
-
-  // The mutator allocators resume under the (possibly bumped) epoch.
-  forEachLaneAllocator(
-      [this](ImmixAllocator &A) { A.setHoleEpochs(Epoch, Epoch); });
-
-  if (Full) {
-    // The defragmenting trace evacuated (or page-remapped) everything
-    // that sat on dynamically failed lines; the recovery debt is paid.
-    PendingFailureRecovery = false;
-    DynamicFailedSinceGc = 0;
-  }
-
-  double Ms = std::chrono::duration<double, std::milli>(
-                  std::chrono::steady_clock::now() - Start)
-                  .count();
-  if (Full)
-    FullPausesMs.push_back(Ms);
-  else
-    NurseryPausesMs.push_back(Ms);
-  // Wall-clock: Timing domain only, never in determinism comparisons.
-  // Kinds split under distinct macro expansions (the function-local
-  // static metric id binds to whichever name fires first).
-  uint64_t PauseUs = static_cast<uint64_t>(Ms * 1000.0);
-  WEARMEM_COUNT_TIMING_N("gc.pause_us_total", PauseUs);
-  if (Full) {
-    WEARMEM_COUNT_TIMING_N("gc.pause_full_us_total", PauseUs);
-  } else {
-    WEARMEM_COUNT_TIMING_N("gc.pause_nursery_us_total", PauseUs);
-  }
-  WEARMEM_TRACE(GcEnd, Stats.GcCount, Full ? 1 : 0);
-  InCollection = false;
-  MarkWorkers.clear();
-  // Collection boundaries are the ladder's refresh points: sweep just
-  // recounted retirement and the OS pools are quiescent.
-  updateDegradationMode();
-  if (Stopped)
-    Safepoints.resumeTheWorld();
-  // End-of-cycle safepoint: apply dynamic failures that arrived while
-  // the mark phase was running (or were orphaned by the interrupt
-  // router). Runs after the resume so an emergency re-collection it
-  // triggers can perform its own handshake.
-  drainDeferredFailures();
+  openCollection(Full);
+  drainMark(Full, /*Budget=*/0);
+  // Open-plus-trace wall time: Timing domain only.
+  WEARMEM_COUNT_TIMING_N("gc.mark_us_total", usSince(Start));
+#ifdef WEARMEM_EXPENSIVE_CHECKS
+  verifyMarkOracle();
+#endif
+  closeCollection(Full, Stopped, Start);
 }
 
 // Claims Target for this epoch, categorizes it, and queues it for
@@ -629,71 +549,126 @@ void Heap::scanMarked(ObjRef Obj, unsigned Wk, bool Full,
   }
 }
 
-void Heap::markPhase(CollectionKind Kind) {
-  bool Full = Kind == CollectionKind::Full;
+//===----------------------------------------------------------------------===//
+// The collection pipeline: open, drain, close
+//===----------------------------------------------------------------------===//
+
+void Heap::openCollection(bool Full) {
+  ++Stats.GcCount;
+  WEARMEM_COUNT_DET("gc.collections");
+  if (Full)
+    WEARMEM_COUNT_DET("gc.collections.full");
+  WEARMEM_TRACE(GcBegin, Stats.GcCount, Full ? 1 : 0);
+
+  // Every lane TLAB lapses; the close's sweep reclassifies their blocks.
+  forEachLaneAllocator([](ImmixAllocator &A) { A.retire(); });
+
+  uint8_t Prev = Epoch;
+  if (Full) {
+    ++Stats.FullGcCount;
+    NurseryGcsSinceFull = 0;
+    Epoch = nextEpoch(Epoch);
+    if (Epoch == 1)
+      remapMarksOnWrap(Prev);
+    // Defragmentation candidates are chosen from the previous sweep's
+    // statistics.
+    if (Immix)
+      Immix->selectDefragCandidates();
+    // The mutation log is superseded by the full trace. Entries are
+    // chased through forwarding before the flag clear: a large-object
+    // relocation between collections forwards the logged husk, and
+    // clearing only the husk would strand a set logged flag on the live
+    // copy - silently disabling its write barrier for good.
+    for (ObjRef Logged : ModBuf) {
+      while (isForwarded(Logged))
+        Logged = forwardee(Logged);
+      clearObjectFlag(Logged, FlagLogged);
+    }
+    ModBuf.clear();
+  } else {
+    ++Stats.NurseryGcCount;
+    ++NurseryGcsSinceFull;
+  }
+  // Until the close, holes are found against the *previous* sweep, so a
+  // live line the trace has not re-marked yet is never mistaken for free
+  // space - by evacuation, and by a paced cycle's in-cycle allocation
+  // (which marks its own lines at the new epoch: allocate black).
+  if (Immix)
+    EvacAllocator->setHoleEpochs(Prev, Epoch);
+  forEachLaneAllocator(
+      [&](ImmixAllocator &A) { A.setHoleEpochs(Prev, Epoch); });
+
+  // Enter the mark phase: dynamic-failure interrupts arriving from here
+  // on park in the deferred queue until the close drains them.
+  WEARMEM_TRACE(PhaseBegin, 0, Stats.GcCount);
   unsigned NumWorkers = Workers ? Workers->workers() : 1;
   MarkWorkers.clear();
   MarkWorkers.resize(NumWorkers);
-  MarkWorkList WorkList(NumWorkers, MarkChunkItems, MarkMaxDequeChunks);
-
-#ifdef WEARMEM_EXPENSIVE_CHECKS
-  // The mutation log is consumed by the phase; the oracle needs the
-  // original seed set afterwards.
-  std::vector<ObjRef> LoggedSeeds;
-  if (!Full)
-    LoggedSeeds = ModBuf;
-#endif
-
-  // Mark-phase safepoint: dynamic-failure interrupts arriving from here
-  // on are parked and drained at the end of the collection.
+  MarkList = std::make_unique<MarkWorkList>(NumWorkers, MarkChunkItems,
+                                            MarkMaxDequeChunks);
   InMarkPhase.store(true, std::memory_order_release);
+  if (MarkPhaseHook)
+    MarkPhaseHook();
+  // Seed worker 0 - the slot a concurrent marker owns - and let stealing
+  // spread the work: the open is O(roots + logged objects), not O(heap).
+  for (ObjRef Root : Roots)
+    if (Root)
+      claimEdge(Root, 0, Full, *MarkList);
+  for (ObjRef Logged : ModBuf) {
+    assert(!isForwarded(Logged) &&
+           "old objects do not move in nursery collections");
+    // Nursery only (a full open just emptied the log). Logged old
+    // objects already carry this epoch's mark - that is what made them
+    // old - so claiming would skip them: they are scan-only seeds,
+    // queued directly.
+    MarkList->push(0, Logged);
+  }
+}
 
-  auto WorkerFn = [&](unsigned Wk) {
-    if (Wk == 0 && MarkPhaseHook)
-      MarkPhaseHook();
-    // Deterministically partitioned seeds: contiguous slices of the
-    // root array and (nursery) of the mutation log. Claim races make
-    // the partition irrelevant to the outcome; slicing just spreads the
-    // initial work.
-    size_t NumRoots = Roots.size();
-    for (size_t I = NumRoots * Wk / NumWorkers,
-                E = NumRoots * (Wk + 1) / NumWorkers;
-         I != E; ++I)
-      if (Roots[I])
-        claimEdge(Roots[I], Wk, Full, WorkList);
-    if (!Full) {
-      size_t NumLogged = ModBuf.size();
-      for (size_t I = NumLogged * Wk / NumWorkers,
-                  E = NumLogged * (Wk + 1) / NumWorkers;
-           I != E; ++I) {
-        ObjRef Logged = ModBuf[I];
-        assert(!isForwarded(Logged) &&
-               "old objects do not move in nursery collections");
-        // Logged old objects already carry this epoch's mark (that is
-        // what made them old), so claiming would skip them: they are
-        // scan-only seeds.
-        scanMarked(Logged, Wk, Full, WorkList);
-      }
-    }
+bool Heap::drainMark(bool Full, uint64_t Budget) {
+  MarkWorkList &WorkList = *MarkList;
+  WorkList.reopen();
+  // Deletions first: references overwritten since the last drain rejoin
+  // the frontier (mark claims deduplicate re-logged objects). The log
+  // only fills while a paced cycle is open. Its drain is not budgeted -
+  // it is bounded by mutation since the last pause, which the driver
+  // controls - only scanning is.
+  Stats.SatbDrained += Satb.drain(
+      [&](ObjRef Old) { claimEdge(Old, 0, Full, WorkList); });
+  if (Budget != 0)
+    WorkList.setQuota(static_cast<int64_t>(Budget));
+  auto TraceFn = [&](unsigned Wk) {
     ObjRef Obj;
     while (WorkList.pop(Wk, Obj))
       scanMarked(Obj, Wk, Full, WorkList);
   };
   if (Workers)
-    Workers->runOnAll(WorkerFn);
+    Workers->runOnAll(TraceFn);
   else
-    WorkerFn(0);
+    TraceFn(0);
+  // A spent quota leaves the rest of the frontier queued; the quiesced
+  // probe across every queue decides whether more drains are needed.
+  WorkList.reopen();
+  return !WorkList.quiesced();
+}
 
+uint64_t Heap::closeCollection(bool Full, size_t Stopped,
+                               Clock::time_point Start) {
   InMarkPhase.store(false, std::memory_order_release);
+  // Apply the line marks the concurrent marker deferred since the last
+  // flush handshake (none under the other pacings). Every deferred
+  // object is claimed for this epoch and unmoved, so marking is
+  // idempotent and order-free - the same line-mark set an inline trace
+  // writes.
+  applyDeferredLineMarks();
 
   // Deterministic merge, in worker order.
   for (MarkWorker &MW : MarkWorkers) {
     Stats.ObjectsMarked += MW.ObjectsMarked;
     Stats.BytesTraced += MW.BytesTraced;
   }
-  MarkDebug.DequePeakChunks = WorkList.dequePeakChunks();
-  MarkDebug.OverflowPeakChunks = WorkList.overflowPeakChunks();
-
+  MarkDebug.DequePeakChunks = MarkList->dequePeakChunks();
+  MarkDebug.OverflowPeakChunks = MarkList->overflowPeakChunks();
   if (!Full) {
     // Clearing the logged flags is a plain header write, so it waits
     // until no claims can race.
@@ -701,10 +676,65 @@ void Heap::markPhase(CollectionKind Kind) {
       clearObjectFlag(Logged, FlagLogged);
     ModBuf.clear();
   }
+  WEARMEM_TRACE(PhaseEnd, 0, Stats.GcCount);
 
-#ifdef WEARMEM_EXPENSIVE_CHECKS
-  verifyMarkOracle(Full ? std::vector<ObjRef>() : LoggedSeeds);
-#endif
+  // The rest of the three phases (see Heap.h): serial canonical-order
+  // evacuation, then parallel reference fixup. Any worker interleaving
+  // yields the same post-collection heap state.
+  WEARMEM_TRACE(PhaseBegin, 1, Stats.GcCount);
+  evacuatePhase();
+  WEARMEM_TRACE(PhaseEnd, 1, Stats.GcCount);
+  WEARMEM_TRACE(PhaseBegin, 2, Stats.GcCount);
+  fixupPhase();
+  WEARMEM_TRACE(PhaseEnd, 2, Stats.GcCount);
+
+  sweepPhase();
+
+  // The mutator allocators resume under the (possibly bumped) epoch.
+  forEachLaneAllocator(
+      [this](ImmixAllocator &A) { A.setHoleEpochs(Epoch, Epoch); });
+
+  if (Full) {
+    // The defragmenting trace evacuated (or page-remapped) everything
+    // that sat on dynamically failed lines; the recovery debt is paid
+    // (batches parked during the mark phase drain below and open a
+    // fresh debt).
+    PendingFailureRecovery = false;
+    DynamicFailedSinceGc = 0;
+  }
+
+  double Ms =
+      std::chrono::duration<double, std::milli>(Clock::now() - Start)
+          .count();
+  if (Full)
+    FullPausesMs.push_back(Ms);
+  else
+    NurseryPausesMs.push_back(Ms);
+  // Wall-clock: Timing domain only, never in determinism comparisons.
+  // Kinds split under distinct macro expansions (the function-local
+  // static metric id binds to whichever name fires first).
+  uint64_t PauseUs = static_cast<uint64_t>(Ms * 1000.0);
+  WEARMEM_COUNT_TIMING_N("gc.pause_us_total", PauseUs);
+  if (Full) {
+    WEARMEM_COUNT_TIMING_N("gc.pause_full_us_total", PauseUs);
+  } else {
+    WEARMEM_COUNT_TIMING_N("gc.pause_nursery_us_total", PauseUs);
+  }
+  WEARMEM_TRACE(GcEnd, Stats.GcCount, Full ? 1 : 0);
+  InCollection = false;
+  MarkWorkers.clear();
+  MarkList.reset();
+  // Collection boundaries are the ladder's refresh points: sweep just
+  // recounted retirement and the OS pools are quiescent.
+  updateDegradationMode();
+  if (Stopped)
+    Safepoints.resumeTheWorld();
+  // End-of-cycle safepoint: apply dynamic failures that arrived while
+  // the mark phase was running (or were orphaned by the interrupt
+  // router). Runs after the resume so an emergency re-collection it
+  // triggers can perform its own handshake.
+  drainDeferredFailures();
+  return PauseUs;
 }
 
 void Heap::evacuatePhase() {
@@ -838,6 +868,10 @@ void Heap::sweepPhase() {
     };
   WEARMEM_TRACE(PhaseBegin, 3, Stats.GcCount);
   if (Immix) {
+    // Evacuation is over. Drop its blocks first: one it took but filled
+    // with nothing sweeps as free and may be released below, and a
+    // later retire would read the freed block.
+    EvacAllocator->retire();
     ImmixSweepTotals Totals = Immix->sweep(Epoch, Par);
     WEARMEM_COUNT_DET_N("gc.sweep.lines", Totals.TotalLines);
     Immix->clearDefragCandidates();
@@ -855,7 +889,6 @@ void Heap::sweepPhase() {
             ? 1.0
             : static_cast<double>(Totals.FreeLines) /
                   static_cast<double>(Totals.TotalLines);
-    EvacAllocator->retire();
   } else {
     FreeListSpace::SweepTotals Totals = FreeList->sweep(Epoch);
     LastYield = Totals.TotalBytes == 0
@@ -887,78 +920,26 @@ void Heap::sweepPhase() {
 }
 
 //===----------------------------------------------------------------------===//
-// Incremental SATB marking
+// Paced cycles: the pipeline with the mutator resumed between stages
 //===----------------------------------------------------------------------===//
 
 bool Heap::beginIncrementalMarkCycle() {
   if (!(Config.IncrementalMark || Config.ConcurrentMark) || !Immix ||
       IncCycle || InCollection || OutOfMemory)
     return false;
-  size_t Stopped = Safepoints.stopTheWorld();
-  if (Stopped)
-    ++Stats.SafepointStops;
-  auto Start = std::chrono::steady_clock::now();
+  size_t Stopped = stopWorld();
+  auto Start = Clock::now();
   // The open counts as the cycle's (single) full collection: the epoch
   // bumps here and never again until the next cycle, so counter and
   // epoch evolution match a stop-the-world full collection triggered at
-  // the same point in the mutation history.
-  ++Stats.GcCount;
-  ++Stats.FullGcCount;
-  NurseryGcsSinceFull = 0;
+  // the same point in the mutation history. The mark phase it enters
+  // holds for the whole cycle, so dynamic-failure batches park until the
+  // close and fenced-line bookkeeping never races the trace.
   ++Stats.IncrementalCyclesOpened;
-  WEARMEM_COUNT_DET("gc.collections");
-  WEARMEM_COUNT_DET("gc.collections.full");
   WEARMEM_COUNT_DET("gc.inc.cycles_opened");
-  WEARMEM_TRACE(GcBegin, Stats.GcCount, 1);
-
-  // Every lane TLAB lapses: in-cycle allocation restarts under the new
-  // epoch's hole rules installed below.
-  forEachLaneAllocator([](ImmixAllocator &A) { A.retire(); });
-
-  uint8_t Prev = Epoch;
-  Epoch = nextEpoch(Epoch);
-  if (Epoch == 1)
-    remapMarksOnWrap(Prev);
-  // Defragmentation candidates come from the previous sweep's
-  // statistics, exactly as in the stop-the-world prologue.
-  Immix->selectDefragCandidates();
-  EvacAllocator->setHoleEpochs(Prev, Epoch);
-  // The mutator keeps allocating while the cycle is open, so the lane
-  // allocators also search holes against the *previous* sweep: a live
-  // line the trace has not re-marked yet must not be mistaken for free.
-  // In-cycle allocation marks its lines at the new epoch (allocate
-  // black), so freshly filled lines stay protected either way.
-  forEachLaneAllocator(
-      [&](ImmixAllocator &A) { A.setHoleEpochs(Prev, Epoch); });
-  // The mutation log is superseded by the full trace (with the same
-  // forwarding chase as the stop-the-world prologue).
-  for (ObjRef Logged : ModBuf) {
-    while (isForwarded(Logged))
-      Logged = forwardee(Logged);
-    clearObjectFlag(Logged, FlagLogged);
-  }
-  ModBuf.clear();
-
-  unsigned NumWorkers = Workers ? Workers->workers() : 1;
-  MarkWorkers.clear();
-  MarkWorkers.resize(NumWorkers);
+  openCollection(/*Full=*/true);
   IncCycle = std::make_unique<IncrementalCycle>();
-  IncCycle->WorkList = std::make_unique<MarkWorkList>(
-      NumWorkers, MarkChunkItems, MarkMaxDequeChunks);
-  // The mark-phase safepoint holds for the whole cycle: dynamic-failure
-  // batches park in the deferred queue and drain after the close, so
-  // fenced-line bookkeeping never races the (incremental) trace.
-  InMarkPhase.store(true, std::memory_order_release);
-  // Seed the snapshot's roots; the opening pause is O(roots), not
-  // O(heap).
-  for (ObjRef Root : Roots)
-    if (Root)
-      claimEdge(Root, 0, /*Full=*/true, *IncCycle->WorkList);
-  WEARMEM_COUNT_TIMING_N(
-      "gc.inc.open_us_total",
-      static_cast<uint64_t>(std::chrono::duration<double, std::micro>(
-                                std::chrono::steady_clock::now() - Start)
-                                .count()));
+  WEARMEM_COUNT_TIMING_N("gc.inc.open_us_total", usSince(Start));
   if (Stopped)
     Safepoints.resumeTheWorld();
   if (Config.ConcurrentMark) {
@@ -981,10 +962,8 @@ bool Heap::incrementalMarkStep() {
          "incrementalMarkStep is the interleaved pacing; a concurrent "
          "cycle is driven by the marker thread (satbFlushHandshake)");
   assert(!InCollection && "mark increment inside a collection");
-  size_t Stopped = Safepoints.stopTheWorld();
-  if (Stopped)
-    ++Stats.SafepointStops;
-  auto Start = std::chrono::steady_clock::now();
+  size_t Stopped = stopWorld();
+  auto Start = Clock::now();
   ++Stats.MarkIncrements;
   // Timing domain, not deterministic: with a budget armed, a parallel
   // step may retire a few objects under quota (see MarkWorkList's
@@ -992,34 +971,8 @@ bool Heap::incrementalMarkStep() {
   // driver issues varies with the worker count - like steal counts,
   // it is a schedule artifact, not a function of the mutation history.
   WEARMEM_COUNT_TIMING("gc.inc.mark_steps");
-  MarkWorkList &WorkList = *IncCycle->WorkList;
-  WorkList.reopen();
-  // Deletions first: references overwritten since the last pause rejoin
-  // the frontier (mark claims deduplicate re-logged objects). The drain
-  // itself is not budgeted - it is bounded by mutation since the last
-  // step, which the driver controls - only scanning is.
-  Stats.SatbDrained += Satb.drain(
-      [&](ObjRef Old) { claimEdge(Old, 0, /*Full=*/true, WorkList); });
-  if (Config.MarkBudget != 0)
-    WorkList.setQuota(static_cast<int64_t>(Config.MarkBudget));
-  auto StepFn = [&](unsigned Wk) {
-    ObjRef Obj;
-    while (WorkList.pop(Wk, Obj))
-      scanMarked(Obj, Wk, /*Full=*/true, WorkList);
-  };
-  if (Workers)
-    Workers->runOnAll(StepFn);
-  else
-    StepFn(0);
-  // A spent quota leaves the rest of the frontier queued; the quiesced
-  // probe across every queue decides whether more increments are needed.
-  WorkList.reopen();
-  bool More = !WorkList.quiesced();
-  WEARMEM_COUNT_TIMING_N(
-      "gc.inc.step_us_total",
-      static_cast<uint64_t>(std::chrono::duration<double, std::micro>(
-                                std::chrono::steady_clock::now() - Start)
-                                .count()));
+  bool More = drainMark(/*Full=*/true, Config.MarkBudget);
+  WEARMEM_COUNT_TIMING_N("gc.inc.step_us_total", usSince(Start));
   if (Stopped)
     Safepoints.resumeTheWorld();
   return More;
@@ -1040,56 +993,25 @@ void Heap::finishIncrementalMarkCycle() {
     Stats.SatbDrained += MarkerSatbDrained;
     MarkerSatbDrained = 0;
   }
-  size_t Stopped = Safepoints.stopTheWorld();
-  if (Stopped)
-    ++Stats.SafepointStops;
+  size_t Stopped = stopWorld();
   InCollection = true;
-  auto Start = std::chrono::steady_clock::now();
+  auto Start = Clock::now();
   ++Stats.IncrementalCyclesClosed;
   WEARMEM_COUNT_DET("gc.inc.cycles_closed");
 
-  // TLABs lapse again: the sweep below reclassifies their blocks.
+  // TLABs lapse again: the close's sweep reclassifies their blocks.
   forEachLaneAllocator([](ImmixAllocator &A) { A.retire(); });
 
   // Closing marking: rescan the roots (the *current* root values must
-  // be live regardless of barrier history), drain the deletion log, and
-  // run the frontier dry with no budget - the short final pause.
-  WEARMEM_TRACE(PhaseBegin, 0, Stats.GcCount);
-  MarkWorkList &WorkList = *IncCycle->WorkList;
-  WorkList.reopen();
+  // be live regardless of barrier history), then drain the deletion log
+  // and the frontier with no budget until both stay empty.
   for (ObjRef Root : Roots)
     if (Root)
-      claimEdge(Root, 0, /*Full=*/true, WorkList);
-  do {
-    Stats.SatbDrained += Satb.drain(
-        [&](ObjRef Old) { claimEdge(Old, 0, /*Full=*/true, WorkList); });
-    auto DrainFn = [&](unsigned Wk) {
-      ObjRef Obj;
-      while (WorkList.pop(Wk, Obj))
-        scanMarked(Obj, Wk, /*Full=*/true, WorkList);
-    };
-    if (Workers)
-      Workers->runOnAll(DrainFn);
-    else
-      DrainFn(0);
-    WorkList.reopen();
-  } while (!Satb.empty());
-  InMarkPhase.store(false, std::memory_order_release);
+      claimEdge(Root, 0, /*Full=*/true, *MarkList);
+  do
+    drainMark(/*Full=*/true, /*Budget=*/0);
+  while (!Satb.empty());
 
-  // Apply the line marks the concurrent marker deferred since the last
-  // flush handshake (no-op in the interleaved mode; handshakes drained
-  // the earlier accumulation). Every deferred object is claimed for
-  // this epoch and unmoved, so marking is idempotent and order-free -
-  // the same line-mark set a stop-the-world trace writes inline.
-  applyDeferredLineMarks();
-
-  // Deterministic merge, in worker order.
-  for (MarkWorker &MW : MarkWorkers) {
-    Stats.ObjectsMarked += MW.ObjectsMarked;
-    Stats.BytesTraced += MW.BytesTraced;
-  }
-  MarkDebug.DequePeakChunks = WorkList.dequePeakChunks();
-  MarkDebug.OverflowPeakChunks = WorkList.overflowPeakChunks();
   // Objects born during the cycle were never scanned (allocate black:
   // their stores all ran through the barrier), but evacuation may move
   // what they reference - route them through worker 0's fixup
@@ -1097,35 +1019,7 @@ void Heap::finishIncrementalMarkCycle() {
   MarkWorkers[0].Scanned.insert(MarkWorkers[0].Scanned.end(),
                                 IncCycle->NewObjects.begin(),
                                 IncCycle->NewObjects.end());
-  WEARMEM_TRACE(PhaseEnd, 0, Stats.GcCount);
-
-  WEARMEM_TRACE(PhaseBegin, 1, Stats.GcCount);
-  evacuatePhase();
-  WEARMEM_TRACE(PhaseEnd, 1, Stats.GcCount);
-  WEARMEM_TRACE(PhaseBegin, 2, Stats.GcCount);
-  fixupPhase();
-  WEARMEM_TRACE(PhaseEnd, 2, Stats.GcCount);
-
-  sweepPhase();
-
-  forEachLaneAllocator(
-      [this](ImmixAllocator &A) { A.setHoleEpochs(Epoch, Epoch); });
-  // The closing collection is a full defragmenting one: the recovery
-  // debt for fenced lines is paid (batches parked mid-cycle drain below
-  // and open a fresh debt).
-  PendingFailureRecovery = false;
-  DynamicFailedSinceGc = 0;
-
-  double Ms = std::chrono::duration<double, std::milli>(
-                  std::chrono::steady_clock::now() - Start)
-                  .count();
-  FullPausesMs.push_back(Ms);
-  // Wall-clock: Timing domain only, never in determinism comparisons.
-  uint64_t PauseUs = static_cast<uint64_t>(Ms * 1000.0);
-  WEARMEM_COUNT_TIMING_N("gc.pause_us_total", PauseUs);
-  WEARMEM_COUNT_TIMING_N("gc.pause_full_us_total", PauseUs);
-  WEARMEM_COUNT_TIMING_N("gc.inc.close_us_total", PauseUs);
-  WEARMEM_TRACE(GcEnd, Stats.GcCount, 1);
+  IncCycle.reset();
   // SATB growth accounting: lifetime high-water marks of the sealed
   // queue and the per-lane buffers. Timing domain - they move with the
   // flush/drain schedule, never with the mutation history.
@@ -1133,17 +1027,9 @@ void Heap::finishIncrementalMarkCycle() {
                        Satb.sealedSegmentsHighWater());
   WEARMEM_GAUGE_TIMING("gc.satb.lane_pending_hwm",
                        Satb.lanePendingHighWater());
-  InCollection = false;
-  MarkWorkers.clear();
-  IncCycle.reset();
   Satb.reset();
-  // Collection boundaries are the ladder's refresh points.
-  updateDegradationMode();
-  if (Stopped)
-    Safepoints.resumeTheWorld();
-  // End-of-cycle safepoint: apply dynamic failures parked during the
-  // open cycle (InMarkPhase held for its whole duration).
-  drainDeferredFailures();
+  uint64_t PauseUs = closeCollection(/*Full=*/true, Stopped, Start);
+  WEARMEM_COUNT_TIMING_N("gc.inc.close_us_total", PauseUs);
 }
 
 //===----------------------------------------------------------------------===//
@@ -1201,7 +1087,7 @@ bool Heap::concurrentMarkSlice() {
   // IncCycle, Epoch, MarkWorkers[0] and the work list are all stable
   // (and exclusively the marker's) for that whole window.
   assert(IncCycle && "marker slice without an open cycle");
-  MarkWorkList &WorkList = *IncCycle->WorkList;
+  MarkWorkList &WorkList = *MarkList;
   // Deletions first, exactly like an interleaved step: sealed segments
   // rejoin the frontier (mark claims deduplicate re-logged objects).
   // The tally merges into Stats.SatbDrained at the close - the marker
@@ -1244,11 +1130,13 @@ void Heap::drainDeferredFailures() {
 }
 
 #ifdef WEARMEM_EXPENSIVE_CHECKS
-void Heap::verifyMarkOracle(const std::vector<ObjRef> &LoggedSeeds) {
+void Heap::verifyMarkOracle() {
   // Serial differential oracle for the parallel mark phase: re-trace
   // the reachable graph read-only (it runs between mark and evacuation,
   // so no forwarding exists for this epoch yet) and check that exactly
-  // the claimable closure was claimed.
+  // the claimable closure was claimed. The seeds are the roots plus,
+  // for a nursery collection, the mutation log the close has yet to
+  // consume (a full open already emptied it).
   std::unordered_set<const uint8_t *> Claimed;
   for (MarkWorker &MW : MarkWorkers)
     for (ObjRef Obj : MW.Claimed)
@@ -1274,7 +1162,7 @@ void Heap::verifyMarkOracle(const std::vector<ObjRef> &LoggedSeeds) {
   for (ObjRef Root : Roots)
     if (Root)
       Push(Root);
-  for (ObjRef Logged : LoggedSeeds)
+  for (ObjRef Logged : ModBuf)
     if (Visited.insert(Logged).second)
       Stack.push_back(Logged);
   while (!Stack.empty()) {
@@ -1381,7 +1269,7 @@ void Heap::injectDynamicFailureBatch(const std::vector<uint8_t *> &Addrs,
     // Mark-phase safepoint contract: failing lines while GC workers
     // trace would race the atomic line marking and could unfence pages
     // mid-phase. Park the batch (this path is the only one that may run
-    // concurrently with the collector); runCollection drains it at the
+    // concurrently with the collector); the close drains it at the
     // end-of-cycle safepoint - deferred, never lost.
     std::lock_guard<std::mutex> Lock(DeferredFailureMu);
     DeferredFailures.insert(DeferredFailures.end(), Addrs.begin(),
@@ -1459,7 +1347,7 @@ void Heap::injectDynamicFailureBatch(const std::vector<uint8_t *> &Addrs,
     ++Stats.DeferredFailureRecoveries;
   }
   // Fresh wear may have crossed a ladder threshold even without a
-  // collection (the collect paths above refresh inside runCollection).
+  // collection (the collect paths above refresh at the close).
   updateDegradationMode();
 }
 

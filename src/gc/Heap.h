@@ -41,6 +41,7 @@
 #include "os/Os.h"
 
 #include <atomic>
+#include <chrono>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -108,42 +109,66 @@ public:
   bool inCollection() const { return InCollection; }
 
   //===--------------------------------------------------------------===//
-  // Incremental SATB marking (bounded pauses)
+  // Paced mark cycles (bounded pauses)
   //===--------------------------------------------------------------===//
 
-  /// The full mark phase can instead run as a sequence of short,
-  /// fixed-budget increments interleaved with mutation:
+  /// Every collection runs one pipeline of three stages:
   ///
-  ///  * beginIncrementalMarkCycle() opens a cycle in an O(roots) pause:
-  ///    it bumps the epoch, selects defragmentation candidates, and seeds
-  ///    the trace from the root set. While the cycle is open, writeRef
-  ///    logs every overwritten reference into the SATB deletion log and
-  ///    new objects are allocated black, so the set the cycle eventually
-  ///    marks is exactly what was reachable at the snapshot (plus
-  ///    in-cycle births) - independent of mutation order, worker count,
-  ///    and budget. Dynamic-failure batches arriving mid-cycle park in
-  ///    the deferred queue (InMarkPhase stays true for the whole cycle)
-  ///    and drain after the close, exactly like batches landing inside a
-  ///    stop-the-world mark phase.
-  ///  * incrementalMarkStep() drains the deletion log and traces at most
-  ///    Config.MarkBudget objects (0 = unbounded); anything over budget
-  ///    stays queued for the next step. Returns true while frontier work
-  ///    remains. The final marked set is independent of the budget, the
-  ///    step schedule, and the worker count.
-  ///  * finishIncrementalMarkCycle() is the short closing pause: rescan
-  ///    roots, drain the log, finish the trace, then run the normal
-  ///    evacuate / fixup / sweep tail. The closing counts as the cycle's
-  ///    full defragmenting collection - final heap state is bit-identical
-  ///    to a stop-the-world full collection at the same point in the
-  ///    mutation history, provided the in-cycle mutation was reference
-  ///    stores only (in-cycle allocation survives as floating newborns a
-  ///    stop-the-world run would not retain).
+  ///  * open - count the collection, retire the lane TLABs, bump the
+  ///    epoch and select defragmentation candidates (full), clear the
+  ///    sticky mutation log, enter the mark phase and seed the roots;
+  ///  * drain - retire the SATB deletion log into the frontier, then
+  ///    trace, within a budget when one is set;
+  ///  * close - leave the mark phase, merge worker statistics in worker
+  ///    order, evacuate, fix up and sweep, record the pause, refresh the
+  ///    degradation ladder, resume the world and drain the dynamic
+  ///    failures that parked during the mark phase.
   ///
-  /// collect() with a cycle open simply closes it: the trigger that
-  /// would have forced a collection gets the closing pause instead.
+  /// collect() runs all three inside one pause. A full collection can
+  /// instead be *paced* - Config.IncrementalMark (interleaved) or
+  /// Config.ConcurrentMark (concurrent), Immix heaps only - with the
+  /// mutators running between the stages:
   ///
-  /// Requires Config.IncrementalMark and an Immix heap; returns false
-  /// (and does nothing) otherwise, or when a cycle is already open.
+  ///  * beginIncrementalMarkCycle() is the open, in an O(roots) pause.
+  ///    While the cycle is open, writeRef and the root stores log every
+  ///    overwritten reference into the SATB deletion log and new objects
+  ///    are allocated black, so the set the cycle marks is exactly what
+  ///    was reachable at the snapshot (plus in-cycle births) -
+  ///    independent of mutation order, worker count, and budget. The
+  ///    mark phase lasts the whole cycle, so dynamic-failure batches
+  ///    arriving mid-cycle park until the close, exactly like batches
+  ///    landing inside a stop-the-world mark phase.
+  ///  * incrementalMarkStep() (interleaved) is one budgeted drain in its
+  ///    own pause: at most Config.MarkBudget objects (0 = unbounded),
+  ///    the rest stays queued. Returns true while frontier work remains.
+  ///  * satbFlushHandshake() (concurrent) takes the steps' place: a
+  ///    dedicated marker thread (gc/ConcurrentMarker.h), armed after the
+  ///    open, drains the cycle while the mutators run, and the handshake
+  ///    only parks peers long enough to seal every lane's partial SATB
+  ///    buffer and retire a bounded batch of the marker's deferred line
+  ///    marks. Unlike the other pauses it never bumps
+  ///    Stats.SafepointStops (Timing metrics only). No-op without an
+  ///    open cycle; call it from a mutator at a turn boundary, never
+  ///    from inside a collection.
+  ///  * finishIncrementalMarkCycle() quiesces the marker (if any),
+  ///    rescans the roots, drains to convergence with no budget, and
+  ///    closes. The close is the cycle's full defragmenting collection:
+  ///    final heap state is bit-identical to a stop-the-world full
+  ///    collection at the same point in the mutation history, provided
+  ///    the in-cycle mutation was reference stores only (in-cycle
+  ///    allocation survives as floating newborns a stop-the-world run
+  ///    would not retain).
+  ///
+  /// Pause histories are pacing-blind: every full collection appends
+  /// exactly one fullGcPausesMs() entry (a stop-the-world pause or a
+  /// cycle's close), opens, steps and handshakes append none, and
+  /// nursery collections append to nurseryGcPausesMs() only. collect()
+  /// with a cycle open simply closes it: the trigger that would have
+  /// forced a collection gets the closing pause instead.
+  ///
+  /// beginIncrementalMarkCycle() returns false (and does nothing)
+  /// without a pacing flag, on a free-list heap, or while a cycle is
+  /// already open.
   bool beginIncrementalMarkCycle();
   /// Runs one bounded mark increment; returns true while work remains.
   bool incrementalMarkStep();
@@ -152,25 +177,7 @@ public:
   bool incrementalCycleOpen() const { return IncCycle != nullptr; }
   /// Entries currently parked in the SATB deletion log (tests/tools).
   size_t satbLogDepth() const { return Satb.size(); }
-
-  //===--------------------------------------------------------------===//
-  // Mostly-concurrent marking (Config.ConcurrentMark)
-  //===--------------------------------------------------------------===//
-
-  /// With Config.ConcurrentMark, an open cycle is drained by a dedicated
-  /// marker thread (gc/ConcurrentMarker.h) instead of incremental steps:
-  /// beginIncrementalMarkCycle arms the marker after seeding, drivers
-  /// issue satbFlushHandshake() ticks instead of incrementalMarkStep(),
-  /// and finishIncrementalMarkCycle quiesces the marker before its usual
-  /// closing drain-to-convergence - which is what keeps the final heap
-  /// state bit-identical to stop-the-world and interleaved marking.
-
-  /// Flush-only handshake: parks registered peer threads just long
-  /// enough to seal every lane's partial SATB buffer into the shared
-  /// sealed-segment queue, then wakes the marker. Unlike a collection
-  /// stop this never bumps Stats.SafepointStops (it is a sub-pause;
-  /// Timing metrics only). No-op without an open cycle. Must be called
-  /// from a mutator at a turn boundary, never from inside a collection.
+  /// The concurrent pacing's flush-only handshake (see above).
   void satbFlushHandshake();
 
   /// One bounded marker slice: drains sealed SATB segments into the
@@ -205,8 +212,9 @@ public:
   void setGcThreads(unsigned Threads);
   unsigned gcThreads() const { return Config.GcThreads; }
 
-  /// Test hook: invoked once per collection, by worker 0, at the start
-  /// of the mark phase (other workers may already be tracing).
+  /// Test hook: invoked once per collection (or paced cycle), by the
+  /// collecting thread, just after the open enters the mark phase and
+  /// before it seeds the roots.
   void setMarkPhaseHook(std::function<void()> Hook) {
     MarkPhaseHook = std::move(Hook);
   }
@@ -400,8 +408,20 @@ private:
   uint8_t *allocWithGcRetry(AllocFn Fn, bool WantPerfect = false);
   DnfReason classifyExhaustion(bool WantedPerfect) const;
   void updateDegradationMode();
+  /// Stop-the-world collection: open, unbudgeted drain, close.
   void runCollection(CollectionKind Kind);
-  void markPhase(CollectionKind Kind);
+  /// Stops registered peer mutators for a pause (counted in
+  /// Stats.SafepointStops); returns the number stopped.
+  size_t stopWorld();
+  using Clock = std::chrono::steady_clock;
+  /// The pipeline stages (see "Paced mark cycles"), each run with the
+  /// world stopped. drainMark returns true while frontier work remains
+  /// (Budget 0 = unbudgeted); closeCollection resumes the \p Stopped
+  /// world and returns the pause since \p Start in whole microseconds.
+  void openCollection(bool Full);
+  bool drainMark(bool Full, uint64_t Budget);
+  uint64_t closeCollection(bool Full, size_t Stopped,
+                           Clock::time_point Start);
   void evacuatePhase();
   void fixupPhase();
   void sweepPhase();
@@ -415,7 +435,7 @@ private:
                   MarkWorkList &WorkList);
   void drainDeferredFailures();
 #ifdef WEARMEM_EXPENSIVE_CHECKS
-  void verifyMarkOracle(const std::vector<ObjRef> &LoggedSeeds);
+  void verifyMarkOracle();
 #endif
   void markObjectLines(ObjRef Obj, size_t Size);
   bool overlapsFailedLine(Block *B, const uint8_t *Obj,
@@ -447,11 +467,12 @@ private:
   /// Sticky write-barrier log: old objects whose fields were mutated.
   std::vector<ObjRef> ModBuf;
 
-  /// State of the open incremental mark cycle (null = no cycle open).
+  /// The mark frontier of the collection between its open and close;
+  /// survives across a paced cycle's drains, so a spent budget just
+  /// leaves the frontier queued.
+  std::unique_ptr<MarkWorkList> MarkList;
+  /// State of the open paced mark cycle (null = no cycle open).
   struct IncrementalCycle {
-    /// The cycle-long work list; survives across increments so a spent
-    /// budget just leaves the frontier queued.
-    std::unique_ptr<MarkWorkList> WorkList;
     /// Objects allocated black during the cycle: never scanned (their
     /// fields were written through the barrier), but routed through the
     /// closing fixup so evacuations rewrite their slots.

@@ -119,11 +119,11 @@ struct LegResult {
   uint64_t BytesAllocated = 0;
   uint64_t FailedLinesDynamic = 0;
   uint64_t PinnedFailurePageRemaps = 0;
-  // Incremental-leg internals (compared across worker counts / budgets
-  // within incremental legs only; the stop-the-world leg has zeros).
   uint64_t ObjectsMarked = 0;
   uint64_t BytesTraced = 0;
   uint64_t ObjectsEvacuated = 0;
+  // Incremental-leg internals (compared across worker counts / budgets
+  // within incremental legs only; the stop-the-world leg has zeros).
   uint64_t MarkIncrements = 0;
   uint64_t SatbLogged = 0;
   uint64_t SatbDrained = 0;

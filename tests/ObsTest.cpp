@@ -6,6 +6,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "core/Runtime.h"
+#include "gc/Heap.h"
 #include "obs/FlightRecorder.h"
 #include "obs/Hooks.h"
 #include "obs/Metrics.h"
@@ -329,4 +330,78 @@ TEST_F(ObsTest, GcPauseAccountingStaysInTheTimingDomain) {
         "gc.inc.open_us_total", "gc.inc.step_us_total",
         "gc.inc.close_us_total", "gc.inc.mark_steps"})
     EXPECT_NE(Timing.find(Name), std::string::npos) << Name;
+}
+
+TEST_F(ObsTest, PauseHistoryHasOneEntryPerCollectionUnderEveryPacing) {
+  // Drivers that time the paced pauses themselves (perfbench's
+  // lanes_concurrent) swap the heap's pause entries for their own by
+  // position. That relies on three rules, whatever the pacing: every
+  // full collection appends exactly one fullGcPausesMs() entry - a
+  // stop-the-world pause or a paced cycle's close; opens, steps and
+  // flush handshakes append nothing; nursery collections append to
+  // nurseryGcPausesMs() only.
+  enum class Pacing { Stw, Interleaved, Concurrent };
+  for (Pacing P : {Pacing::Stw, Pacing::Interleaved, Pacing::Concurrent}) {
+    HeapConfig Config;
+    Config.Collector = CollectorKind::StickyImmix;
+    Config.BudgetPages = (16 * MiB) / PcmPageSize;
+    Config.GcThreads = 2;
+    Config.IncrementalMark = P == Pacing::Interleaved;
+    Config.ConcurrentMark = P == Pacing::Concurrent;
+    Config.MarkBudget = 64;
+    Heap Hp(Config);
+    unsigned Root = Hp.createRoot(nullptr);
+    for (unsigned I = 0; I != 4000; ++I) {
+      ObjRef Node = Hp.allocate(48, 1);
+      ASSERT_NE(Node, nullptr);
+      if (ObjRef Head = Hp.root(Root))
+        Hp.writeRef(Node, 0, Head);
+      Hp.setRoot(Root, Node);
+    }
+    const std::vector<double> &Fulls = Hp.fullGcPausesMs();
+    const std::vector<double> &Nurseries = Hp.nurseryGcPausesMs();
+    // A paced open counts its full collection before the close records
+    // the pause.
+    auto expectOneEntryPerCollection = [&](const char *When) {
+      uint64_t Open = Hp.incrementalCycleOpen() ? 1 : 0;
+      EXPECT_EQ(Fulls.size(), Hp.stats().FullGcCount - Open) << When;
+      EXPECT_EQ(Nurseries.size(), Hp.stats().NurseryGcCount) << When;
+    };
+    bool SawCycleOpen = false;
+    Hp.setMarkPhaseHook([&] { SawCycleOpen |= Hp.incrementalCycleOpen(); });
+    Hp.collect(CollectionKind::Full);
+    EXPECT_EQ(Fulls.size(), 1u);
+    Hp.collect(CollectionKind::Nursery);
+    EXPECT_EQ(Nurseries.size(), 1u);
+    expectOneEntryPerCollection("stop-the-world");
+    EXPECT_FALSE(SawCycleOpen)
+        << "a stop-the-world collection must not read as an open cycle";
+    Hp.setMarkPhaseHook(nullptr);
+    if (P == Pacing::Stw) {
+      EXPECT_EQ(Hp.stats().IncrementalCyclesOpened, 0u);
+      EXPECT_EQ(Hp.stats().IncrementalCyclesClosed, 0u);
+      continue;
+    }
+
+    size_t Before = Fulls.size();
+    ASSERT_TRUE(Hp.beginIncrementalMarkCycle());
+    EXPECT_EQ(Fulls.size(), Before) << "an open appended a pause";
+    for (unsigned I = 0; I != 3; ++I) {
+      if (P == Pacing::Interleaved)
+        Hp.incrementalMarkStep();
+      else
+        Hp.satbFlushHandshake();
+      EXPECT_EQ(Fulls.size(), Before) << "a step or handshake appended";
+    }
+    expectOneEntryPerCollection("mid-cycle");
+    Hp.finishIncrementalMarkCycle();
+    EXPECT_EQ(Fulls.size(), Before + 1) << "a close must append one pause";
+    // A collection demand on an open cycle closes it: still one entry.
+    ASSERT_TRUE(Hp.beginIncrementalMarkCycle());
+    Hp.collect(CollectionKind::Full);
+    EXPECT_EQ(Fulls.size(), Before + 2);
+    EXPECT_EQ(Nurseries.size(), 1u);
+    expectOneEntryPerCollection("after the closes");
+    EXPECT_EQ(Hp.stats().IncrementalCyclesClosed, 2u);
+  }
 }

@@ -22,6 +22,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <thread>
 #include <vector>
@@ -268,6 +271,96 @@ TEST(ParallelGcTest, RunOnAllReachesEveryWorkerAndBarriers) {
   // The return is a barrier, so all increments are visible here.
   for (unsigned Wk = 0; Wk != 4; ++Wk)
     EXPECT_EQ(PerWorker[Wk].load(), 50u);
+}
+
+TEST(ParallelGcTest, BudgetedDrainsNeverStrandASpinner) {
+  // Budgeted mark steps over one work list, paced the way
+  // incrementalMarkStep paces them: arm a small quota, drain on every
+  // worker, rearm. A spent quota must stay spent until the next
+  // setQuota; revived after some workers left on it, it strands any
+  // worker still spinning in refill, and the step never returns. The
+  // watchdog turns such a hang into a failure instead of a ctest
+  // timeout.
+  std::atomic<uint64_t> Steps{0};
+  std::atomic<bool> Finished{false};
+  std::thread Watchdog([&] {
+    using Clock = std::chrono::steady_clock;
+    uint64_t Seen = 0;
+    auto LastProgress = Clock::now();
+    while (!Finished.load()) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(50));
+      if (uint64_t Now = Steps.load(); Now != Seen) {
+        Seen = Now;
+        LastProgress = Clock::now();
+      } else if (Clock::now() - LastProgress > std::chrono::seconds(10)) {
+        std::fprintf(stderr, "budgeted drain hung after %llu steps\n",
+                     static_cast<unsigned long long>(Seen));
+        std::_Exit(1);
+      }
+    }
+  });
+
+  // Items are opaque to the list: a binary tree node is just its depth
+  // (low bits) over a nonzero tag, and popping one pushes its children.
+  constexpr unsigned Depth = 6;
+  constexpr uint64_t NodesPerTree = (uint64_t(2) << Depth) - 1;
+  auto node = [](uintptr_t D) {
+    return reinterpret_cast<MarkWorkList::Item>(D | 8);
+  };
+  for (unsigned NumWorkers : {4u, 8u}) {
+    GcWorkerPool Pool(NumWorkers);
+    // Tiny chunks so publication, stealing and overflow all run.
+    MarkWorkList List(NumWorkers, /*ChunkItems=*/4, /*MaxDequeChunks=*/2);
+    std::vector<uint64_t> Pops(NumWorkers);
+    auto Popped = [&] {
+      uint64_t N = 0;
+      for (uint64_t P : Pops)
+        N += P;
+      return N;
+    };
+    auto Drain = [&](unsigned Wk) {
+      MarkWorkList::Item It;
+      while (List.pop(Wk, It)) {
+        ++Pops[Wk];
+        if (uintptr_t D = reinterpret_cast<uintptr_t>(It) & 7) {
+          List.push(Wk, node(D - 1));
+          List.push(Wk, node(D - 1));
+        }
+      }
+    };
+    uint64_t Trees = 0;
+    bool OverBudget = false;
+    uint64_t Rng = 0x9E3779B97F4A7C15ull * NumWorkers;
+    auto Deadline =
+        std::chrono::steady_clock::now() + std::chrono::milliseconds(1500);
+    while (std::chrono::steady_clock::now() < Deadline) {
+      if (List.quiesced()) {
+        for (unsigned T = 0; T != 3; ++T)
+          List.push(0, node(Depth));
+        Trees += 3;
+      }
+      Rng ^= Rng << 13;
+      Rng ^= Rng >> 7;
+      Rng ^= Rng << 17;
+      int64_t Quota = 1 + static_cast<int64_t>(Rng % 13);
+      uint64_t Before = Popped();
+      List.reopen();
+      List.setQuota(Quota);
+      Pool.runOnAll(Drain);
+      List.reopen();
+      OverBudget |= Popped() - Before > static_cast<uint64_t>(Quota);
+      Steps.fetch_add(1);
+    }
+    EXPECT_FALSE(OverBudget) << "a step scanned past its budget";
+    // Unbudgeted, the rest drains dry and every node was popped once.
+    Pool.runOnAll(Drain);
+    List.reopen();
+    EXPECT_TRUE(List.quiesced());
+    EXPECT_EQ(Popped(), Trees * NodesPerTree) << NumWorkers << " workers";
+  }
+  Finished = true;
+  Watchdog.join();
+  EXPECT_GT(Steps.load(), 0u);
 }
 
 //===----------------------------------------------------------------------===//
