@@ -17,7 +17,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
-#include <unordered_map>
+#include <tuple>
 #include <unordered_set>
 
 using namespace wearmem;
@@ -331,7 +331,7 @@ ObjRef Heap::allocate(uint32_t PayloadBytes, uint16_t NumRefs,
     // evacuations rewrite their reference slots.
     setObjectMark(Mem, Epoch);
     if (Immix && !(Flags & FlagLarge))
-      markObjectLines(Mem, Size);
+      markObjectLines(Immix->blockOf(Mem), Mem, Size);
     IncCycle->NewObjects.push_back(Mem);
   }
   ++Stats.ObjectsAllocated;
@@ -524,7 +524,7 @@ void Heap::claimEdge(ObjRef Target, unsigned Wk, bool Full,
       // allocators honor the (Prev, Epoch) hole rule all cycle.
       MW.DeferredLineMarks.push_back(Target);
     } else {
-      markObjectLines(Target, Size);
+      markObjectLines(B, Target, Size);
     }
   }
   WorkList.push(Wk, Target);
@@ -747,27 +747,20 @@ void Heap::evacuatePhase() {
   // separate host allocations whose relative placement varies between
   // heap instances; the ordinal/offset pair depends only on the
   // allocation history, which is what makes post-GC digests comparable
-  // across worker counts and across processes.
-  std::unordered_map<const Block *, uint32_t> BlockOrdinal;
-  BlockOrdinal.reserve(Immix->blockCount());
-  {
-    uint32_t Idx = 0;
-    Immix->forEachBlock(
-        [&](const Block &Blk) { BlockOrdinal.emplace(&Blk, Idx++); });
-  }
+  // across worker counts and across processes. A block's creation
+  // sequence number orders blocks exactly as its ordinal does, so it
+  // serves as the key directly.
   auto CanonSort = [&](std::vector<ObjRef> &Objs) {
-    std::vector<std::pair<uint64_t, ObjRef>> Keyed;
+    std::vector<std::tuple<uint64_t, size_t, ObjRef>> Keyed;
     Keyed.reserve(Objs.size());
     for (ObjRef Obj : Objs) {
       const Block *Blk = Immix->blockOf(Obj);
-      uint64_t Key =
-          (static_cast<uint64_t>(BlockOrdinal.find(Blk)->second) << 32) |
-          static_cast<uint64_t>(Obj - Blk->base());
-      Keyed.emplace_back(Key, Obj);
+      Keyed.emplace_back(Blk->creationSeq(),
+                         static_cast<size_t>(Obj - Blk->base()), Obj);
     }
     std::sort(Keyed.begin(), Keyed.end());
     for (size_t I = 0; I != Keyed.size(); ++I)
-      Objs[I] = Keyed[I].second;
+      Objs[I] = std::get<2>(Keyed[I]);
   };
   std::vector<ObjRef> Evacs;
   std::vector<ObjRef> Remaps;
@@ -802,13 +795,13 @@ void Heap::evacuatePhase() {
       WEARMEM_OBSERVE_DET("gc.evac_bytes",
                           ({64, 128, 256, 512, 1024, 4096, 16384}), Size);
       WEARMEM_TRACE(Evacuation, Size, 0);
-      markObjectLines(NewMem, Size);
+      markObjectLines(Immix->blockOf(NewMem), NewMem, Size);
     } else {
       if (B->hasFreshFailure() && overlapsFailedLine(B, Target, Size))
         // Could not evacuate an object sitting on a dynamically failed
         // line: fall back to the OS remapping the whole page.
         emergencyPageRemap(B, Target);
-      markObjectLines(Target, Size);
+      markObjectLines(B, Target, Size);
     }
   }
   for (ObjRef Target : Remaps) {
@@ -816,7 +809,7 @@ void Heap::evacuatePhase() {
     size_t Size = objectSize(Target);
     ++Stats.PinnedFailurePageRemaps;
     emergencyPageRemap(B, Target);
-    markObjectLines(Target, Size);
+    markObjectLines(B, Target, Size);
   }
 }
 
@@ -1076,7 +1069,7 @@ void Heap::applyDeferredLineMarks(size_t Budget) {
         return;
       ObjRef Obj = List.back();
       List.pop_back();
-      markObjectLines(Obj, objectSize(Obj));
+      markObjectLines(Immix->blockOf(Obj), Obj, objectSize(Obj));
       --Budget;
     }
   }
@@ -1182,8 +1175,7 @@ void Heap::verifyMarkOracle() {
 }
 #endif
 
-void Heap::markObjectLines(ObjRef Obj, size_t Size) {
-  Block *B = Immix->blockOf(Obj);
+void Heap::markObjectLines(Block *B, ObjRef Obj, size_t Size) {
   unsigned First = B->lineOf(Obj);
   if (Config.ConservativeLineMarking && Size <= Config.LineSize) {
     // Small objects mark only their first line; the sweep conservatively

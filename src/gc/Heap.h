@@ -437,7 +437,8 @@ private:
 #ifdef WEARMEM_EXPENSIVE_CHECKS
   void verifyMarkOracle();
 #endif
-  void markObjectLines(ObjRef Obj, size_t Size);
+  /// Marks the lines \p Obj covers in \p B, the block containing it.
+  void markObjectLines(Block *B, ObjRef Obj, size_t Size);
   bool overlapsFailedLine(Block *B, const uint8_t *Obj,
                           size_t Size) const;
   void emergencyPageRemap(Block *B, const uint8_t *Obj);

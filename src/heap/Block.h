@@ -336,6 +336,12 @@ public:
   int ownerLane() const { return OwnerLane; }
   void setOwnerLane(int Lane) { OwnerLane = Lane; }
 
+  /// Position in the owning space's creation sequence (strictly
+  /// increasing, never reused). Orders blocks by a function of the
+  /// allocation history alone, unlike their host addresses.
+  uint64_t creationSeq() const { return CreationSeq; }
+  void setCreationSeq(uint64_t Seq) { CreationSeq = Seq; }
+
 private:
   /// A cached bitmap of the lines whose mark byte equals Value. Two slots
   /// suffice: queries name at most two epochs (sweep epoch + mark epoch),
@@ -399,6 +405,7 @@ private:
   std::vector<uint64_t> PageFailWords;
   std::vector<uint32_t> PageIds;
   uint64_t RemappedPages = 0;
+  uint64_t CreationSeq = 0;
   unsigned FailedLineCount = 0;
   unsigned DynamicFailedLineCount = 0;
   unsigned FreeLineCount;

@@ -8,10 +8,78 @@
 #include "heap/ImmixSpace.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
+#include <cstdio>
+#include <cstdlib>
 #include <cstring>
+#include <unordered_set>
+
+#include <sys/mman.h>
 
 using namespace wearmem;
+
+//===----------------------------------------------------------------------===//
+// BlockTable
+//===----------------------------------------------------------------------===//
+
+/// Reserves \p Bytes of zero-filled address space. Pages cost resident
+/// memory only once written.
+static void *reserveZeroed(size_t Bytes) {
+  void *Mem = mmap(nullptr, Bytes, PROT_READ | PROT_WRITE,
+                   MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
+  if (Mem == MAP_FAILED) {
+    std::fprintf(stderr, "wearmem: cannot reserve %zu block-table bytes\n",
+                 Bytes);
+    std::abort();
+  }
+  return Mem;
+}
+
+BlockTable::BlockTable(size_t BlockSize)
+    : BlockShift(static_cast<unsigned>(std::countr_zero(BlockSize))) {
+  assert(isPowerOfTwo(BlockSize) && BlockShift + LeafBits <= AddressBits &&
+         "block size out of range");
+  RootBytes = sizeof(Block **) << (AddressBits - BlockShift - LeafBits);
+  Root = static_cast<Block ***>(reserveZeroed(RootBytes));
+}
+
+BlockTable::~BlockTable() {
+  for (Block **Leaf : Leaves)
+    munmap(Leaf, LeafBytes);
+  munmap(Root, RootBytes);
+}
+
+void BlockTable::publish(Block *B) {
+  uintptr_t Raw = reinterpret_cast<uintptr_t>(B->base());
+  if (Raw >> AddressBits) {
+    std::fprintf(stderr,
+                 "wearmem: block at %p lies beyond the %u-bit block table\n",
+                 static_cast<void *>(B->base()), AddressBits);
+    std::abort();
+  }
+  uintptr_t Index = Raw >> BlockShift;
+  // Writers are serialized, so only this thread ever stores the slot.
+  std::atomic_ref<Block **> Slot(Root[Index >> LeafBits]);
+  Block **Leaf = Slot.load(std::memory_order_relaxed);
+  if (!Leaf) {
+    Leaf = static_cast<Block **>(reserveZeroed(LeafBytes));
+    Leaves.push_back(Leaf);
+    Slot.store(Leaf, std::memory_order_release);
+  }
+  std::atomic_ref<Block *> Entry(Leaf[Index & LeafMask]);
+  assert(!Entry.load(std::memory_order_relaxed) &&
+         "block address registered twice");
+  Entry.store(B, std::memory_order_release);
+}
+
+void BlockTable::clear(const uint8_t *Base) {
+  uintptr_t Index = reinterpret_cast<uintptr_t>(Base) >> BlockShift;
+  Block **Leaf = Root[Index >> LeafBits];
+  assert(Leaf && "clearing a block that was never published");
+  std::atomic_ref<Block *>(Leaf[Index & LeafMask])
+      .store(nullptr, std::memory_order_release);
+}
 
 //===----------------------------------------------------------------------===//
 // ImmixAllocator
@@ -223,9 +291,8 @@ void ImmixAllocator::invalidateCache() {
 
 ImmixSpace::ImmixSpace(FailureAwareOs &Os, const HeapConfig &Config,
                        HeapStats &Stats, BudgetGate Gate)
-    : Os(Os), Config(Config), Stats(Stats), Gate(std::move(Gate)) {
-  assert(isPowerOfTwo(Config.BlockSize) && "block size must be 2^n");
-}
+    : Os(Os), Config(Config), Stats(Stats), Gate(std::move(Gate)),
+      Table(Config.BlockSize) {}
 
 Block *ImmixSpace::createBlock(PageGrant &&Grant) {
   assert(Grant.NumPages == Config.pagesPerBlock() &&
@@ -236,11 +303,12 @@ Block *ImmixSpace::createBlock(PageGrant &&Grant) {
   auto NewBlock = std::make_unique<Block>(Grant.Mem, Config);
   NewBlock->applyFailureWords(Grant.FailWords.data(), Grant.NumPages);
   NewBlock->setPageIds(std::move(Grant.PageIds));
+  NewBlock->setCreationSeq(NextCreationSeq++);
   Block *Raw = NewBlock.get();
 #ifdef WEARMEM_DEBUG_TRACE
   DebugReleased.erase(reinterpret_cast<uintptr_t>(Grant.Mem));
 #endif
-  ByBase.emplace(reinterpret_cast<uintptr_t>(Grant.Mem), Raw);
+  Table.publish(Raw);
   Blocks.push_back(std::move(NewBlock));
   Stats.LinesSkippedFailed += Raw->failedLines();
   return Raw;
@@ -355,7 +423,7 @@ size_t ImmixSpace::releaseExcessFreeBlocks(
   std::lock_guard<std::mutex> Lock(RegistryMu);
   if (FreeList.size() <= KeepFree)
     return 0;
-  std::unordered_map<uintptr_t, Block *> Victims;
+  std::unordered_set<const Block *> Victims;
   while (FreeList.size() > KeepFree) {
     Block *B = FreeList.back();
     if (B->evacuating() || B->hasFreshFailure())
@@ -374,11 +442,13 @@ size_t ImmixSpace::releaseExcessFreeBlocks(
       AnyRemapped |= B->pageWasRemapped(static_cast<unsigned>(Page));
     if (!AnyRemapped)
       Grant.PageIds = B->pageIds();
-    uintptr_t Base = reinterpret_cast<uintptr_t>(B->base());
-    ByBase.erase(Base);
-    Victims.emplace(Base, B);
+    // The world is stopped (this runs in the sweep), so no lookup can be
+    // holding B across its release.
+    Table.clear(B->base());
+    Victims.insert(B);
 #ifdef WEARMEM_DEBUG_TRACE
-    DebugReleased[Base] = ++DebugReleaseTick;
+    DebugReleased[reinterpret_cast<uintptr_t>(B->base())] =
+        ++DebugReleaseTick;
 #endif
     Os.freeRelaxed(std::move(Grant));
   }
@@ -386,7 +456,7 @@ size_t ImmixSpace::releaseExcessFreeBlocks(
     return 0;
   size_t Released = Victims.size();
   std::erase_if(Blocks, [&](const std::unique_ptr<Block> &B) {
-    return Victims.count(reinterpret_cast<uintptr_t>(B->base())) != 0;
+    return Victims.count(B.get()) != 0;
   });
   return Released;
 }
@@ -417,14 +487,21 @@ Block *ImmixSpace::takePerfectFree() {
   return createBlock(std::move(*Grant));
 }
 
-Block *ImmixSpace::blockOf(const uint8_t *Addr) const {
-  // Locked: a lookup from the failure-routing path may race another
-  // lane's TLAB refill growing ByBase.
+size_t ImmixSpace::ordinalOf(const Block &B) const {
   std::lock_guard<std::mutex> Lock(RegistryMu);
-  uintptr_t Base =
-      reinterpret_cast<uintptr_t>(Addr) & ~(Config.BlockSize - 1);
-  auto It = ByBase.find(Base);
-  return It == ByBase.end() ? nullptr : It->second;
+  auto It = std::lower_bound(
+      Blocks.begin(), Blocks.end(), B.creationSeq(),
+      [](const std::unique_ptr<Block> &Held, uint64_t Seq) {
+        return Held->creationSeq() < Seq;
+      });
+  assert(It != Blocks.end() && It->get() == &B &&
+         "ordinalOf: block not held by this space");
+  return static_cast<size_t>(It - Blocks.begin());
+}
+
+Block *ImmixSpace::blockAt(size_t Ordinal) const {
+  std::lock_guard<std::mutex> Lock(RegistryMu);
+  return Ordinal < Blocks.size() ? Blocks[Ordinal].get() : nullptr;
 }
 
 void ImmixSpace::selectDefragCandidates() {

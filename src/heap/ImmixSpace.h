@@ -28,6 +28,7 @@
 #include "heap/Object.h"
 #include "os/Os.h"
 
+#include <atomic>
 #include <deque>
 #include <functional>
 #include <memory>
@@ -38,6 +39,69 @@
 namespace wearmem {
 
 class ImmixSpace;
+
+/// Lock-free, constant-time map from a heap address to its Block: a
+/// two-level radix table indexed by Addr >> log2(BlockSize), the
+/// arithmetic lookup Immix's block-aligned layout allows. The root and
+/// each leaf are reserved with mmap and stay untouched (costing no
+/// resident memory) until a block in their range is published. The
+/// table spans the whole user address range rather than an arena sized
+/// from the page budget, because grants are unbounded in number: every
+/// DRAM borrow maps fresh host memory.
+///
+/// Contract: publish() and clear() are serialized by the caller
+/// (ImmixSpace holds RegistryMu); lookup() takes no lock and may race
+/// publish(). Entries are release-stored and acquire-loaded, so a reader
+/// that finds a Block sees it fully constructed. clear() may run only
+/// while no reader can hold the cleared Block * (the stopped-world
+/// sweep). Leaves never move and are unmapped only with the table.
+class BlockTable {
+public:
+  /// Address bits covered. x86-64 and AArch64 Linux hand user space no
+  /// higher address unless a mapping explicitly asks for one.
+  static constexpr unsigned AddressBits = 48;
+  static_assert(sizeof(uintptr_t) * 8 > AddressBits,
+                "the block table assumes 64-bit addresses");
+
+  explicit BlockTable(size_t BlockSize);
+  ~BlockTable();
+  BlockTable(const BlockTable &) = delete;
+  BlockTable &operator=(const BlockTable &) = delete;
+
+  /// The published block whose range contains \p Addr, or nullptr
+  /// (including for every address beyond AddressBits).
+  Block *lookup(const uint8_t *Addr) const {
+    uintptr_t Raw = reinterpret_cast<uintptr_t>(Addr);
+    if (Raw >> AddressBits)
+      return nullptr;
+    uintptr_t Index = Raw >> BlockShift;
+    Block **Leaf = std::atomic_ref<Block **>(Root[Index >> LeafBits])
+                       .load(std::memory_order_acquire);
+    if (!Leaf)
+      return nullptr;
+    return std::atomic_ref<Block *>(Leaf[Index & LeafMask])
+        .load(std::memory_order_acquire);
+  }
+
+  /// Maps \p B's whole range to \p B. A base beyond AddressBits aborts
+  /// the process in every build: a block the table cannot find would
+  /// turn every later lookup of its objects into a silent miss.
+  void publish(Block *B);
+
+  /// Unmaps the range of the block based at \p Base.
+  void clear(const uint8_t *Base);
+
+private:
+  static constexpr unsigned LeafBits = 16;
+  static constexpr uintptr_t LeafMask = (uintptr_t(1) << LeafBits) - 1;
+  static constexpr size_t LeafBytes = sizeof(Block *) << LeafBits;
+
+  unsigned BlockShift = 0;
+  size_t RootBytes = 0;
+  Block ***Root = nullptr;
+  /// Mapped leaves, for the destructor (writer-side only).
+  std::vector<Block **> Leaves;
+};
 
 /// A thread-local bump allocator over Immix blocks, with a separate
 /// overflow cursor for medium objects. Also used (with a distinct hole
@@ -170,9 +234,23 @@ public:
   Block *takePerfectFree();
 
   /// The block containing \p Addr, or nullptr if the address is not in
-  /// this space. Blocks are block-size aligned, so this is a mask and a
-  /// hash lookup.
-  Block *blockOf(const uint8_t *Addr) const;
+  /// this space. Blocks are block-size aligned, so this is a shift and
+  /// two dependent acquire loads from the block table: no lock, and safe
+  /// against a concurrent TLAB refill growing the space (see BlockTable).
+  Block *blockOf(const uint8_t *Addr) const { return Table.lookup(Addr); }
+
+  /// \name Block ordinals
+  /// A block's ordinal is its position among the blocks currently held,
+  /// in creation order - a function of the allocation history alone, so
+  /// it names the same block across heap instances. Both take
+  /// RegistryMu.
+  /// @{
+  /// The ordinal of \p B, which must be held by this space (binary
+  /// search over the creation sequence numbers).
+  size_t ordinalOf(const Block &B) const;
+  /// The block at \p Ordinal, or nullptr past the end.
+  Block *blockAt(size_t Ordinal) const;
+  /// @}
 
   /// Chooses defragmentation candidates for a full collection: blocks
   /// with fresh dynamic failures always; otherwise the most fragmented
@@ -197,7 +275,8 @@ public:
   /// clears. \p OnRelease (optional) observes each block just before it
   /// is handed back, so bookkeeping keyed on block bases (the dynamic
   /// failure ledger) can be pruned. Returns the number of blocks
-  /// released.
+  /// released. World-stopped only: released blocks leave the block table
+  /// and are destroyed, so no blockOf reader may be running.
   size_t releaseExcessFreeBlocks(
       size_t KeepFree,
       const std::function<void(const Block &)> &OnRelease = nullptr);
@@ -228,21 +307,24 @@ private:
   HeapStats &Stats;
   BudgetGate Gate;
 
-  /// Guards the block registry (free/recycle lists, ByBase, Blocks)
-  /// against concurrent TLAB refills from multiple mutator lanes and
-  /// against blockOf lookups racing a registry grow. Collection-time
-  /// paths (sweep, defrag selection) run at a safepoint and stay
-  /// lock-free.
+  /// Guards the free/recycle lists and Blocks against concurrent TLAB
+  /// refills from multiple mutator lanes, and serializes the writers of
+  /// Table: createBlock publishes a block's entry, and
+  /// releaseExcessFreeBlocks - which runs in the stopped-world sweep -
+  /// clears it. blockOf readers never take it. Collection-time paths
+  /// (sweep, defrag selection) run at a safepoint and stay lock-free.
   mutable std::mutex RegistryMu;
 
+  /// In creation order (strictly increasing creationSeq).
   std::vector<std::unique_ptr<Block>> Blocks;
+  uint64_t NextCreationSeq = 0;
   std::vector<Block *> FreeList;
   /// Deque, not vector: takeRecyclableFitting pops probes off the back
   /// and re-homes rejected (or evacuating) blocks at the front, both
   /// O(1). With a vector the front reinsert was O(n) per probe sequence,
   /// making every medium allocation under fragmentation quadratic-ish.
   std::deque<Block *> RecycleList;
-  std::unordered_map<uintptr_t, Block *> ByBase;
+  BlockTable Table;
   size_t RetiredCount = 0;
 
 #ifdef WEARMEM_DEBUG_TRACE

@@ -14,7 +14,6 @@
 
 #include <algorithm>
 #include <cctype>
-#include <unordered_map>
 
 using namespace wearmem;
 
@@ -561,14 +560,7 @@ void FaultCampaign::pumpReplay(bool &AnyFired) {
     if (clockNow(E.Clock) < E.ClockValue)
       break;
     ++ReplayNext;
-    Block *Target = nullptr;
-    if (Space) {
-      uint32_t Ordinal = 0;
-      Space->forEachBlock([&](Block &B) {
-        if (Ordinal++ == E.BlockOrdinal)
-          Target = &B;
-      });
-    }
+    Block *Target = Space ? Space->blockAt(E.BlockOrdinal) : nullptr;
     if (!Target || E.ByteOffset >= Target->sizeBytes()) {
       ++Stats.ReplayMisses;
       continue;
@@ -591,15 +583,11 @@ void FaultCampaign::injectHeapBatch(std::vector<uint8_t *> &&Addrs,
   }
   if (Record) {
     ImmixSpace *Space = Rt->heap().immixSpace();
-    std::unordered_map<const uint8_t *, uint32_t> OrdinalOf;
-    uint32_t Ordinal = 0;
-    Space->forEachBlock(
-        [&](Block &B) { OrdinalOf[B.base()] = Ordinal++; });
     uint64_t Now = clockNow(Clock);
     for (uint8_t *Addr : Addrs) {
       Block *B = Space->blockOf(Addr);
       Trace.push_back(FaultEvent{
-          Now, Clock, OrdinalOf[B->base()],
+          Now, Clock, static_cast<uint32_t>(Space->ordinalOf(*B)),
           static_cast<uint32_t>(Addr - B->base())});
     }
   }

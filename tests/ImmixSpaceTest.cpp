@@ -9,13 +9,18 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <thread>
+
 using namespace wearmem;
 
 namespace {
 
 struct SpaceFixture {
-  SpaceFixture(double Rate, size_t Pages = 256, size_t LineSize = 256)
-      : Os(Pages, makeFailures(Rate)) {
+  SpaceFixture(double Rate, size_t Pages = 256, size_t LineSize = 256,
+               size_t BlockSize = 32 * KiB)
+      : Os(Pages, makeFailures(Rate), /*GrantAlignment=*/BlockSize) {
+    Config.BlockSize = BlockSize;
     Config.LineSize = LineSize;
     Config.BudgetPages = Pages;
     Space = std::make_unique<ImmixSpace>(
@@ -138,6 +143,155 @@ TEST(ImmixSpaceTest, BlockOfMissesForeignAddresses) {
   ASSERT_NE(F.Space->blockOf(Mem), nullptr);
   alignas(64) static uint8_t Foreign[64];
   EXPECT_EQ(F.Space->blockOf(Foreign), nullptr);
+
+  // Beyond the table's range, and at its top edge (no leaf there).
+  auto At = [](uintptr_t Raw) {
+    return reinterpret_cast<const uint8_t *>(Raw);
+  };
+  uintptr_t Range = uintptr_t(1) << BlockTable::AddressBits;
+  EXPECT_EQ(F.Space->blockOf(At(Range)), nullptr);
+  EXPECT_EQ(F.Space->blockOf(At(~uintptr_t(0))), nullptr);
+  EXPECT_EQ(F.Space->blockOf(At(Range - 1)), nullptr);
+
+  // A block released back to the OS is foreign again: its base, an
+  // interior byte and its last byte all miss.
+  SpaceFixture R(0.10, /*Pages=*/64);
+  Block *Old = R.Space->takeFree();
+  ASSERT_NE(Old, nullptr);
+  uint8_t *Base = Old->base();
+  size_t Bytes = Old->sizeBytes();
+  EXPECT_EQ(R.Space->blockOf(Base + Bytes - 1), Old);
+  R.Space->sweep(2); // Never allocated into: listed free.
+  ASSERT_EQ(R.Space->releaseExcessFreeBlocks(0), 1u);
+  EXPECT_EQ(R.Space->blockOf(Base), nullptr);
+  EXPECT_EQ(R.Space->blockOf(Base + Bytes / 2 + 8), nullptr);
+  EXPECT_EQ(R.Space->blockOf(Base + Bytes - 1), nullptr);
+  // The relaxed free list re-grants exactly that memory to the next
+  // growth, and lookups find the new block.
+  Block *New = R.Space->takeFree();
+  ASSERT_NE(New, nullptr);
+  ASSERT_EQ(New->base(), Base);
+  EXPECT_EQ(R.Space->blockOf(Base), New);
+  EXPECT_EQ(R.Space->blockOf(Base + Bytes / 2 + 8), New);
+  EXPECT_EQ(R.Space->blockOf(Base + Bytes - 1), New);
+
+  // 64 KiB blocks: the second 32 KiB half is where a table keyed on the
+  // default block size would look in the wrong slot.
+  SpaceFixture L(0.0, /*Pages=*/256, /*LineSize=*/256,
+                 /*BlockSize=*/64 * KiB);
+  for (int I = 0; I != 4; ++I) {
+    Block *B = I % 2 ? L.Space->takePerfectFree() : L.Space->takeFree();
+    ASSERT_NE(B, nullptr);
+    ASSERT_EQ(B->sizeBytes(), 64 * KiB);
+    EXPECT_EQ(L.Space->blockOf(B->base()), B);
+    EXPECT_EQ(L.Space->blockOf(B->base() + 32 * KiB), B);
+    EXPECT_EQ(L.Space->blockOf(B->base() + 64 * KiB - 1), B);
+    EXPECT_NE(L.Space->blockOf(B->base() - 1), B);
+  }
+}
+
+TEST(ImmixSpaceTest, OrdinalsFollowCreationOrderAcrossReleases) {
+  SpaceFixture F(0.0, /*Pages=*/64);
+  Block *A = F.Space->takeFree();
+  Block *B = F.Space->takePerfectFree();
+  Block *C = F.Space->takeFree();
+  ASSERT_TRUE(A && B && C);
+  EXPECT_EQ(F.Space->ordinalOf(*A), 0u);
+  EXPECT_EQ(F.Space->ordinalOf(*B), 1u);
+  EXPECT_EQ(F.Space->ordinalOf(*C), 2u);
+  EXPECT_EQ(F.Space->blockAt(2), C);
+  EXPECT_EQ(F.Space->blockAt(3), nullptr);
+  // Releasing the middle block leaves a gap in the sequence numbers;
+  // ordinals close up over it.
+  A->markLine(0, 2);
+  C->markLine(0, 2);
+  F.Space->sweep(2);
+  ASSERT_EQ(F.Space->releaseExcessFreeBlocks(0), 1u);
+  EXPECT_EQ(F.Space->ordinalOf(*A), 0u);
+  EXPECT_EQ(F.Space->ordinalOf(*C), 1u);
+  EXPECT_EQ(F.Space->blockAt(1), C);
+  EXPECT_EQ(F.Space->blockAt(2), nullptr);
+}
+
+TEST(ImmixSpaceDeathTest, PublishingBeyondTheTableAbortsInEveryBuild) {
+  HeapConfig Config;
+  BlockTable Table(Config.BlockSize);
+  Block Far(reinterpret_cast<uint8_t *>(uintptr_t(1)
+                                        << BlockTable::AddressBits),
+            Config);
+  EXPECT_DEATH(Table.publish(&Far), "beyond the 48-bit block table");
+}
+
+TEST(ImmixSpaceTest, BlockOfRacesGrowthWithoutLocks) {
+  // Readers resolve every block published so far, plus addresses that
+  // are never registered, while a writer grows the space through both
+  // grant paths (relaxed PCM, and perfect requests that borrow fresh
+  // DRAM). Meant for the thread sanitizer as much as for the asserts:
+  // the neighbours of published blocks are where the next grants land,
+  // so those lookups race the writer's publication itself.
+  constexpr unsigned Readers = 3;
+  for (int Round = 0; Round != 6; ++Round) {
+    SpaceFixture F(0.25, /*Pages=*/2048);
+    size_t MaxBlocks = F.Config.BudgetPages / F.Config.pagesPerBlock();
+    std::vector<std::atomic<Block *>> Published(MaxBlocks);
+    std::atomic<size_t> Count{0};
+    std::atomic<bool> Done{false};
+    std::atomic<uint64_t> Wrong{0};
+    std::atomic<uint64_t> Lookups{0};
+    // Host memory the OS model never granted: no lookup may find it.
+    std::vector<uint8_t> Foreign(2 * F.Config.BlockSize);
+    const uint8_t *Beyond = reinterpret_cast<const uint8_t *>(
+        uintptr_t(1) << BlockTable::AddressBits);
+
+    auto Read = [&] {
+      uint64_t Local = 0;
+      uint64_t Bad = 0;
+      for (bool Last = false; !Last;) {
+        Last = Done.load(std::memory_order_acquire);
+        size_t N = Count.load(std::memory_order_acquire);
+        for (size_t I = 0; I != N; ++I) {
+          Block *B = Published[I].load(std::memory_order_relaxed);
+          Bad += F.Space->blockOf(B->base()) != B;
+          Bad += F.Space->blockOf(B->base() + B->sizeBytes() / 2) != B;
+          Bad += F.Space->blockOf(B->base() + B->sizeBytes() - 1) != B;
+          // A neighbour may be mid-publication: any hit must be a fully
+          // constructed block containing the address.
+          uintptr_t Base = reinterpret_cast<uintptr_t>(B->base());
+          for (int Step = -2; Step <= 2; ++Step) {
+            const uint8_t *Near = reinterpret_cast<const uint8_t *>(
+                Base + Step * static_cast<intptr_t>(B->sizeBytes()));
+            if (Block *Hit = F.Space->blockOf(Near))
+              Bad += Near < Hit->base() ||
+                     Near >= Hit->base() + Hit->sizeBytes();
+          }
+          Local += 8;
+        }
+        for (size_t Off = 0; Off < Foreign.size(); Off += 4096)
+          Bad += F.Space->blockOf(Foreign.data() + Off) != nullptr;
+        Bad += F.Space->blockOf(Beyond) != nullptr;
+      }
+      Wrong += Bad;
+      Lookups += Local;
+    };
+    std::vector<std::thread> Threads;
+    for (unsigned R = 0; R != Readers; ++R)
+      Threads.emplace_back(Read);
+    // The budget gate stops growth at MaxBlocks.
+    for (size_t I = 0; I != MaxBlocks; ++I) {
+      Block *B = I % 2 ? F.Space->takePerfectFree() : F.Space->takeFree();
+      if (!B)
+        break;
+      Published[I].store(B, std::memory_order_relaxed);
+      Count.store(I + 1, std::memory_order_release);
+    }
+    Done.store(true, std::memory_order_release);
+    for (std::thread &T : Threads)
+      T.join();
+    EXPECT_EQ(Wrong.load(), 0u) << "round " << Round;
+    EXPECT_GT(Lookups.load(), 0u);
+    ASSERT_EQ(Count.load(), MaxBlocks);
+    EXPECT_GT(F.Os.stats().DramBorrowed, 0u);
+  }
 }
 
 TEST(ImmixSpaceTest, EvacuatingRecyclableIsReinstatedAfterProbe) {
