@@ -25,20 +25,14 @@ SpineInfo &spineInfo(ObjRef Spine) {
   return *reinterpret_cast<SpineInfo *>(objectPayload(Spine));
 }
 
-const SpineInfo &spineInfo(const uint8_t *Spine) {
-  return *reinterpret_cast<const SpineInfo *>(
-      objectPayload(const_cast<ObjRef>(Spine)));
-}
-
 } // namespace
 
 size_t wearmem::maxDiscontiguousArrayBytes(const Runtime &Rt,
                                            size_t ArrayletBytes) {
   // The spine must stay below the LOS threshold: header + 16-byte info
   // payload + one 8-byte slot per arraylet.
-  size_t Threshold = Rt.heap().config().LargeObjectThreshold;
   size_t MaxSlots =
-      (Threshold - ObjectHeaderBytes - sizeof(SpineInfo) - 1) /
+      (LargeObjectThreshold - ObjectHeaderBytes - sizeof(SpineInfo) - 1) /
       RefSlotBytes;
   return MaxSlots * ArrayletBytes;
 }

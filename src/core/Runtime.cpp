@@ -20,28 +20,7 @@ HeapConfig RuntimeConfig::toHeapConfig() const {
   assert(FailureRate >= 0.0 && FailureRate < 1.0 &&
          "failure rate must be in [0, 1)");
   HeapConfig Heap;
-  Heap.Collector = Collector;
-  Heap.BlockSize = BlockSize;
-  Heap.LineSize = LineSize;
-  Heap.ConservativeLineMarking = ConservativeLineMarking;
-  Heap.FailureAware = FailureAware;
-  Heap.FreeListFailureAware = FreeListFailureAware;
-  Heap.GcThreads = GcThreads;
-  Heap.IncrementalMark = IncrementalMark;
-  Heap.ConcurrentMark = ConcurrentMark;
-  Heap.MarkBudget = MarkBudget;
-  Heap.NurseryYieldThreshold = NurseryYieldThreshold;
-  Heap.FullGcEvery = FullGcEvery;
-  Heap.DefragFreeFraction = DefragFreeFraction;
-  Heap.MaxDebtPages = MaxDebtPages;
-  Heap.EmergencyDefragFailedLines = EmergencyDefragFailedLines;
-  Heap.RetireBlockFailedFraction = RetireBlockFailedFraction;
-  Heap.StormOverloadFraction = StormOverloadFraction;
-  Heap.ThrottlePerfectFraction = ThrottlePerfectFraction;
-  Heap.ThrottleRetiredBlocks = ThrottleRetiredBlocks;
-  Heap.EmergencyPerfectFraction = EmergencyPerfectFraction;
-  Heap.EmergencyRetiredFraction = EmergencyRetiredFraction;
-  Heap.ThrottleRetryBudget = ThrottleRetryBudget;
+  static_cast<HeapPolicy &>(Heap) = *this;
 
   // Space compensation (Section 6.2): given heap size h used in the
   // absence of failure and failure rate f, use h / (1 - f) so the bytes

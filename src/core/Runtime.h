@@ -35,15 +35,12 @@
 
 namespace wearmem {
 
-/// User-facing configuration; expands to a HeapConfig.
-struct RuntimeConfig {
-  CollectorKind Collector = CollectorKind::StickyImmix;
-
-  /// Immix geometry.
-  size_t LineSize = 256;
-  size_t BlockSize = 32 * KiB;
-  bool ConservativeLineMarking = true;
-
+/// User-facing configuration. The HeapPolicy knobs (collector, Immix
+/// geometry, failure awareness, degradation ladder, GC threads and mark
+/// pacing; see heap/HeapConfig.h) pass to the heap unchanged. The fields
+/// below derive its page budget and failure setup, plus one workload
+/// hint.
+struct RuntimeConfig : HeapPolicy {
   /// Usable heap target, in bytes. With compensation on, the page budget
   /// becomes HeapBytes / (1 - FailureRate) so the *working* memory is
   /// held constant across failure rates (Section 6.2).
@@ -74,14 +71,6 @@ struct RuntimeConfig {
   /// clustering, 1 and 2 are the paper's proposals.
   unsigned ClusteringRegionPages = 0;
 
-  /// Skip failed lines in the allocators. Must stay true when
-  /// FailureRate > 0; exposed so the zero-failure baseline can prove the
-  /// failure-aware code adds no overhead (Figure 4's green bars).
-  bool FailureAware = true;
-
-  /// Free-list failure awareness (Section 3.3.1 exploration).
-  bool FreeListFailureAware = false;
-
   /// Workload hint: route large array allocations through discontiguous
   /// arrays (core/DiscontiguousArray.h) instead of the page-grained LOS.
   /// The Section 3.3.3 software-only alternative to clustering hardware;
@@ -89,53 +78,6 @@ struct RuntimeConfig {
   bool UseDiscontiguousArrays = false;
 
   uint64_t Seed = 0x5EEDF00DULL;
-
-  /// GC worker threads for the parallel collection engine; 1 collects
-  /// inline on the mutator thread. Post-collection heap state is
-  /// bit-identical under any value (see gc/GcWorkers.h).
-  unsigned GcThreads = 1;
-
-  /// Enables incremental SATB marking (Immix collectors only): full mark
-  /// phases may run as fixed-budget increments interleaved with
-  /// mutation, bounding pauses (see gc/Heap.h). Off by default; the
-  /// cycles are driven explicitly via beginIncrementalMarkCycle() /
-  /// incrementalMarkStep() / finishIncrementalMarkCycle().
-  bool IncrementalMark = false;
-  /// Mostly-concurrent marking: an open SATB cycle is drained by a
-  /// dedicated marker thread overlapped with mutation; mutators only pay
-  /// the open, the per-safepoint SATB buffer flushes, and the closing
-  /// drain-to-convergence pause. Mutually exclusive with IncrementalMark
-  /// (the two are alternative pacings of the same cycle machinery);
-  /// requires an Immix collector. Final heap state is bit-identical to
-  /// stop-the-world and interleaved marking at the same close point.
-  bool ConcurrentMark = false;
-  /// Objects traced per incremental mark step or concurrent marker slice
-  /// (0 = unbounded). The final heap is bit-identical under any budget
-  /// or GC worker count; drive steps on a fixed schedule when
-  /// deterministic step counts matter.
-  unsigned MarkBudget = 512;
-
-  /// Pass-through GC policy knobs.
-  double NurseryYieldThreshold = 0.10;
-  unsigned FullGcEvery = 16;
-  double DefragFreeFraction = 0.25;
-
-  /// Pass-through robustness knobs (see HeapConfig). MaxDebtPages caps
-  /// the DRAM the OS may lend (0 = the page budget itself); the other
-  /// three govern graceful degradation under dynamic failure storms.
-  size_t MaxDebtPages = 0;
-  unsigned EmergencyDefragFailedLines = 32;
-  double RetireBlockFailedFraction = 0.75;
-  double StormOverloadFraction = 0.5;
-
-  /// Pass-through degradation-ladder knobs (see HeapConfig): when the
-  /// ladder enters Throttled / Emergency and how many admission-control
-  /// retries Throttled may spend.
-  double ThrottlePerfectFraction = 0.25;
-  unsigned ThrottleRetiredBlocks = 4;
-  double EmergencyPerfectFraction = 0.05;
-  double EmergencyRetiredFraction = 0.25;
-  unsigned ThrottleRetryBudget = 2;
 
   /// Derives the internal heap configuration (compensated budget,
   /// injector setup).

@@ -22,19 +22,6 @@ void ConcurrentMarker::cycleOpened() {
     std::lock_guard<std::mutex> Lock(Mu);
     Armed = true;
     WorkHint = true;
-    ++TStats.Wakes;
-  }
-  Cv.notify_all();
-  WEARMEM_COUNT_TIMING("gc.cm.wakes");
-}
-
-void ConcurrentMarker::notifyWork() {
-  {
-    std::lock_guard<std::mutex> Lock(Mu);
-    if (!Armed)
-      return;
-    WorkHint = true;
-    ++TStats.Wakes;
   }
   Cv.notify_all();
   WEARMEM_COUNT_TIMING("gc.cm.wakes");
@@ -64,11 +51,6 @@ void ConcurrentMarker::shutdown() {
     Thread.join();
 }
 
-ConcurrentMarker::TimingStats ConcurrentMarker::timingStats() const {
-  std::lock_guard<std::mutex> Lock(Mu);
-  return TStats;
-}
-
 void ConcurrentMarker::threadMain() {
   std::unique_lock<std::mutex> Lock(Mu);
   while (!ShutdownFlag) {
@@ -79,7 +61,6 @@ void ConcurrentMarker::threadMain() {
         Quiet = true;
         Cv.notify_all();
       }
-      ++TStats.Parks;
       WEARMEM_COUNT_TIMING("gc.cm.parks");
       // Sleep until there is something to *run*. QuiesceWanted must not
       // wake us here - quiescence was already published above, and a
@@ -98,7 +79,6 @@ void ConcurrentMarker::threadMain() {
     Lock.unlock();
     bool More = H.concurrentMarkSlice();
     Lock.lock();
-    ++TStats.Slices;
     WEARMEM_COUNT_TIMING("gc.cm.slices");
     if (More)
       WorkHint = true;

@@ -76,11 +76,6 @@ public:
   /// frontier).
   void cycleOpened();
 
-  /// Advisory wake: new work is visible (a flush handshake sealed SATB
-  /// segments, or the driver's pacing tick). Cheap no-op if the marker
-  /// is already running.
-  void notifyWork();
-
   /// Re-arms the marker after a mid-cycle quiesce (the flush
   /// handshake's brief exclusive window). The cycle is unchanged, so
   /// this is exactly cycleOpened() under a name that says why.
@@ -95,26 +90,17 @@ public:
   /// Requests exit and joins the thread (destructor calls this).
   void shutdown();
 
-  /// Timing-domain snapshot (valid after quiesce()).
-  struct TimingStats {
-    uint64_t Slices = 0; ///< concurrentMarkSlice calls.
-    uint64_t Wakes = 0;  ///< notifyWork/cycleOpened wakeups delivered.
-    uint64_t Parks = 0;  ///< Times the marker went to sleep empty.
-  };
-  TimingStats timingStats() const;
-
 private:
   void threadMain();
 
   Heap &H;
-  mutable std::mutex Mu;
+  std::mutex Mu;
   std::condition_variable Cv;
   bool Armed = false;         ///< A cycle is open and not being closed.
   bool WorkHint = false;      ///< Work may be visible; run slices.
   bool QuiesceWanted = false; ///< A quiesce() is waiting on Quiet.
   bool Quiet = true;          ///< Marker holds no mark state.
   bool ShutdownFlag = false;
-  TimingStats TStats;
   std::thread Thread;
 };
 

@@ -24,6 +24,22 @@ using namespace wearmem;
 
 namespace {
 
+/// A nursery collection that frees less than this fraction of the heap
+/// escalates to a full collection.
+constexpr double NurseryYieldThreshold = 0.10;
+/// A sticky collector forces a full collection after this many
+/// consecutive nursery collections.
+constexpr unsigned FullGcEvery = 16;
+/// Extra full-collection retries the Throttled admission-control path
+/// may spend before declaring exhaustion (each retry stops early when a
+/// collection frees nothing).
+constexpr unsigned ThrottleRetryBudget = 2;
+/// Graceful degradation under fault campaigns. A dynamic-failure batch
+/// whose accumulated line count since the last collection reaches this
+/// threshold triggers an emergency defragmenting collection instead of
+/// deferring recovery to the next scheduled one.
+constexpr unsigned EmergencyDefragFailedLines = 32;
+
 /// Whole microseconds since \p Start (Timing-domain metrics only).
 uint64_t usSince(std::chrono::steady_clock::time_point Start) {
   return static_cast<uint64_t>(std::chrono::duration<double, std::micro>(
@@ -246,7 +262,7 @@ uint8_t *Heap::allocWithGcRetry(AllocFn Fn, bool WantPerfect) {
   // (this slow path is the "collector is ready" moment, and only a full
   // collection evacuates the fenced-off lines).
   if (isSticky(Config.Collector) && !PendingFailureRecovery &&
-      NurseryGcsSinceFull < Config.FullGcEvery) {
+      NurseryGcsSinceFull < FullGcEvery) {
     collect(CollectionKind::Nursery);
     if (uint8_t *Mem = Fn())
       return Mem;
@@ -261,7 +277,7 @@ uint8_t *Heap::allocWithGcRetry(AllocFn Fn, bool WantPerfect) {
   if (Degradation == DegradationMode::Throttled ||
       Degradation == DegradationMode::Emergency) {
     double PrevYield = LastYield;
-    for (unsigned Retry = 0; Retry != Config.ThrottleRetryBudget; ++Retry) {
+    for (unsigned Retry = 0; Retry != ThrottleRetryBudget; ++Retry) {
       ++Stats.ThrottleRetries;
       WEARMEM_COUNT_DET("heap.throttle_retries");
       collect(CollectionKind::Full);
@@ -291,7 +307,7 @@ ObjRef Heap::allocate(uint32_t PayloadBytes, uint16_t NumRefs,
   // load and keep running.
   if (Degradation == DegradationMode::Emergency && !OutOfMemory &&
       Size > Config.LineSize) {
-    if (Size >= Config.LargeObjectThreshold) {
+    if (Size >= LargeObjectThreshold) {
       LastRefusal = AllocRefusal::EmergencyLarge;
       ++Stats.RefusedLargeAllocs;
       WEARMEM_COUNT_DET("heap.refused_large_allocs");
@@ -304,7 +320,7 @@ ObjRef Heap::allocate(uint32_t PayloadBytes, uint16_t NumRefs,
   }
   uint8_t Flags = Pinned ? FlagPinned : 0;
   uint8_t *Mem = nullptr;
-  if (Size >= Config.LargeObjectThreshold) {
+  if (Size >= LargeObjectThreshold) {
     uint64_t GcsBefore = Stats.GcCount;
     Mem = allocWithGcRetry([&] { return Los.alloc(Size); },
                            /*WantPerfect=*/true);
@@ -431,7 +447,7 @@ double Heap::collect(CollectionKind Kind) {
   // A nursery collection that freed too little escalates immediately:
   // repeated fruitless nursery collections are worse than one full one.
   if (Kind == CollectionKind::Nursery &&
-      LastYield < Config.NurseryYieldThreshold)
+      LastYield < NurseryYieldThreshold)
     runCollection(CollectionKind::Full);
   return LastYield;
 }
@@ -499,10 +515,8 @@ void Heap::claimEdge(ObjRef Target, unsigned Wk, bool Full,
     assert(B && "unmanaged address reached the tracer");
     size_t Size = word0Size(ClaimedWord);
     bool Pinned = (Flags & FlagPinned) != 0;
-    bool WantCopy =
-        Full ? B->evacuating()
-             : CopyNurserySurvivors; // Every nursery survivor is a
-                                     // copy candidate (Sticky Immix).
+    // Every nursery survivor is a copy candidate (Sticky Immix).
+    bool WantCopy = !Full || B->evacuating();
     if (WantCopy && !Pinned) {
       // Copying allocates, which is order-dependent; deferred to the
       // serial evacuation phase. The old lines stay unmarked, exactly
@@ -1323,7 +1337,7 @@ void Heap::injectDynamicFailureBatch(const std::vector<uint8_t *> &Addrs,
     collect(CollectionKind::Full);
     return;
   }
-  if (DynamicFailedSinceGc >= Config.EmergencyDefragFailedLines) {
+  if (DynamicFailedSinceGc >= EmergencyDefragFailedLines) {
     // Storm backstop: so many lines died since the last collection that
     // waiting any longer risks allocating around a minefield.
     ++Stats.EmergencyDefrags;

@@ -550,8 +550,6 @@ private:
   uint64_t DegradationLogDropped = 0;
   bool PendingFailureRecovery = false;
   bool InCollection = false;
-  /// Nursery survivors are opportunistically copied (Sticky Immix).
-  bool CopyNurserySurvivors = true;
   double LastYield = 1.0;
 
   std::vector<double> FullPausesMs;

@@ -66,9 +66,6 @@ public:
     Entries.fetch_add(N, std::memory_order_relaxed);
     if (Sealed.size() > SealedSegmentsHighWater)
       SealedSegmentsHighWater = Sealed.size();
-    size_t E = Entries.load(std::memory_order_relaxed);
-    if (E > SealedEntriesHighWater)
-      SealedEntriesHighWater = E;
   }
 
   /// A recycled segment if one is free, else a fresh one; either way the
@@ -119,15 +116,11 @@ public:
     return Entries.load(std::memory_order_relaxed);
   }
 
-  /// High-water marks across the log's lifetime (Timing-domain metrics:
-  /// they depend on flush/drain scheduling, never on mutation history).
+  /// High-water mark across the log's lifetime (a Timing-domain metric:
+  /// it depends on flush/drain scheduling, never on mutation history).
   size_t sealedSegmentsHighWater() const {
     std::lock_guard<std::mutex> Lock(Mu);
     return SealedSegmentsHighWater;
-  }
-  size_t sealedEntriesHighWater() const {
-    std::lock_guard<std::mutex> Lock(Mu);
-    return SealedEntriesHighWater;
   }
 
   /// Drops sealed and recycled segments (end-of-cycle teardown).
@@ -146,7 +139,6 @@ private:
   /// the marker's more-work probe run off-lock).
   std::atomic<size_t> Entries{0};
   size_t SealedSegmentsHighWater = 0;
-  size_t SealedEntriesHighWater = 0;
 };
 
 /// One lane's thread-confined SATB append buffer. The owning lane (under
@@ -180,7 +172,6 @@ public:
 
   size_t pending() const { return Active.size(); }
   size_t pendingHighWater() const { return PendingHighWater; }
-  void resetHighWater() { PendingHighWater = 0; }
 
 private:
   using Segment = SatbSharedLog::Segment;

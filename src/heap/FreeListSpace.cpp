@@ -76,12 +76,8 @@ bool FreeListSpace::growClass(size_t ClassIdx) {
         // map to any cell.
         LastCell = std::min(LastCell, NumCells - 1);
         for (size_t Cell = FirstCell;
-             Cell <= LastCell && Cell < NumCells; ++Cell) {
-          if (NewBlock->Usable.get(Cell)) {
-            NewBlock->Usable.clear(Cell);
-            ++CellsLostToFailures;
-          }
-        }
+             Cell <= LastCell && Cell < NumCells; ++Cell)
+          NewBlock->Usable.clear(Cell);
       }
     }
   } else {

@@ -67,9 +67,6 @@ public:
     return BlockCount * Config.pagesPerBlock();
   }
 
-  /// Cells permanently withheld because they overlap failed lines.
-  uint64_t cellsLostToFailures() const { return CellsLostToFailures; }
-
   static size_t classIndexFor(size_t Size);
   static size_t maxCellSize() { return SizeClasses.back(); }
 
@@ -96,7 +93,6 @@ private:
   std::array<std::vector<std::unique_ptr<FlBlock>>, SizeClasses.size()>
       ClassBlocks;
   size_t BlockCount = 0;
-  uint64_t CellsLostToFailures = 0;
 };
 
 } // namespace wearmem

@@ -6,10 +6,13 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Configuration shared by the heap spaces and collectors: which collector
+/// Configuration shared by the heap spaces and collectors. HeapPolicy
+/// holds the knobs a user sets through RuntimeConfig: which collector
 /// runs (the paper's Figure 3 compares MS, IX, S-MS and S-IX), the Immix
-/// line/block geometry (Figures 6-7 sweep the line size), the fixed page
-/// budget (heap size), and the failure-injection setup.
+/// line/block geometry (Figures 6-7 sweep the line size), the
+/// degradation ladder and the mark pacing. HeapConfig adds what
+/// RuntimeConfig derives: the fixed page budget (heap size) and the
+/// failure-injection setup.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -174,8 +177,14 @@ struct DegradationTransition {
   bool Recovery = false;
 };
 
-/// Static heap configuration.
-struct HeapConfig {
+/// Objects at least this large go to the page-grained large object
+/// space. Never larger than a block.
+constexpr size_t LargeObjectThreshold = 8 * KiB;
+
+/// The policy knobs a RuntimeConfig hands its heap unchanged. HeapConfig
+/// and RuntimeConfig both inherit them, so each knob is declared once
+/// and RuntimeConfig::toHeapConfig copies them in one statement.
+struct HeapPolicy {
   CollectorKind Collector = CollectorKind::StickyImmix;
 
   /// Immix block size (the paper uses 32 KB).
@@ -186,29 +195,15 @@ struct HeapConfig {
   /// and the sweep treats the following line as implicitly live.
   bool ConservativeLineMarking = true;
 
-  /// Heap size, in 4 KB pages. This is the *total* page budget; callers
-  /// apply failure compensation (h / (1 - f)) before setting it.
-  size_t BudgetPages = 2048;
-
-  /// Objects at least this large go to the page-grained large object
-  /// space. Never larger than a block.
-  size_t LargeObjectThreshold = 8 * KiB;
-
-  /// Failure injection between the OS and VM allocators (Section 5).
-  FailureConfig Failures;
   /// Failure-aware allocation: consume the OS failure maps and skip holes.
-  /// Must be true whenever Failures.Rate > 0.
+  /// Must be true whenever there are failures; exposed so the
+  /// zero-failure baseline can prove the failure-aware code adds no
+  /// overhead (Figure 4's green bars).
   bool FailureAware = true;
-
   /// Make the free-list space failure-aware too (the Section 3.3.1
   /// discussion of native runtimes; off by default).
   bool FreeListFailureAware = false;
 
-  /// Escalate a nursery collection to a full collection when it frees
-  /// less than this fraction of the heap.
-  double NurseryYieldThreshold = 0.10;
-  /// Force a full collection after this many consecutive nursery GCs.
-  unsigned FullGcEvery = 16;
   /// Blocks whose free-line fraction is at least this are defragmentation
   /// candidates during a full collection.
   double DefragFreeFraction = 0.25;
@@ -217,17 +212,6 @@ struct HeapConfig {
   /// and each borrow carries the debit-credit space penalty, which is the
   /// paper's cost model. A finite cap is only used by ablations.
   size_t MaxDebtPages = 0;
-
-  /// Graceful degradation under fault campaigns. A dynamic-failure batch
-  /// whose accumulated line count since the last collection reaches this
-  /// threshold triggers an emergency defragmenting collection instead of
-  /// deferring recovery to the next scheduled one.
-  unsigned EmergencyDefragFailedLines = 32;
-  /// An *empty* block whose failed-line fraction reaches this is retired
-  /// at sweep: it leaves the free/recycle lists for good (its pages are
-  /// mostly dead memory and recycling it would just spread allocation
-  /// across holes).
-  double RetireBlockFailedFraction = 0.75;
   /// When allocation fails for good and at least this fraction of all
   /// Immix lines is failed, the fail-stop is classified as a failure
   /// storm rather than ordinary heap exhaustion.
@@ -244,10 +228,6 @@ struct HeapConfig {
   /// EmergencyRetiredFraction of all blocks.
   double EmergencyPerfectFraction = 0.05;
   double EmergencyRetiredFraction = 0.25;
-  /// Extra full-collection retries the Throttled admission-control path
-  /// may spend before declaring exhaustion (each retry stops early when
-  /// a collection frees nothing).
-  unsigned ThrottleRetryBudget = 2;
 
   /// Number of GC worker threads for the parallel collection engine.
   /// 1 (the default) collects inline on the mutator thread with no pool;
@@ -274,6 +254,17 @@ struct HeapConfig {
   /// accounting); the final marked set is the snapshot closure under any
   /// budget.
   unsigned MarkBudget = 512;
+};
+
+/// Static heap configuration: the shared policy plus the page budget and
+/// failure setup that RuntimeConfig::toHeapConfig derives.
+struct HeapConfig : HeapPolicy {
+  /// Heap size, in 4 KB pages. This is the *total* page budget; callers
+  /// apply failure compensation (h / (1 - f)) before setting it.
+  size_t BudgetPages = 2048;
+
+  /// Failure injection between the OS and VM allocators (Section 5).
+  FailureConfig Failures;
 
   size_t linesPerBlock() const { return BlockSize / LineSize; }
   size_t pagesPerBlock() const { return BlockSize / PcmPageSize; }

@@ -559,6 +559,12 @@ void ImmixSpace::clearDefragCandidates() {
   }
 }
 
+/// An *empty* block whose failed-line fraction reaches this is retired
+/// at sweep: it leaves the free/recycle lists for good (its pages are
+/// mostly dead memory and recycling it would just spread allocation
+/// across holes).
+static constexpr double RetireBlockFailedFraction = 0.75;
+
 ImmixSweepTotals ImmixSpace::sweep(uint8_t Epoch, const GcParallelFor &Par) {
   FreeList.clear();
   RecycleList.clear();
@@ -593,7 +599,7 @@ ImmixSweepTotals ImmixSpace::sweep(uint8_t Epoch, const GcParallelFor &Par) {
     Totals.FailedLines += B->failedLines();
     if (R.Empty && B->dynamicFailedLines() > 0 &&
         B->failedLines() >=
-            static_cast<unsigned>(Config.RetireBlockFailedFraction *
+            static_cast<unsigned>(RetireBlockFailedFraction *
                                   static_cast<double>(B->lineCount()))) {
       // Graceful degradation: an empty block that dynamic wear-out has
       // reduced to mostly holes is retired rather than recycled -

@@ -14,7 +14,7 @@
 using namespace wearmem;
 
 uint8_t *LargeObjectSpace::alloc(size_t Size) {
-  assert(Size >= Config.LargeObjectThreshold &&
+  assert(Size >= LargeObjectThreshold &&
          "undersized object for the LOS");
   size_t Pages = divCeil(Size, PcmPageSize);
   if (!Gate(Pages))

@@ -64,34 +64,6 @@ enum class FaultShape : uint8_t {
   Crash,
 };
 
-inline const char *triggerClockName(TriggerClock Clock) {
-  switch (Clock) {
-  case TriggerClock::Writes:
-    return "writes";
-  case TriggerClock::AllocBytes:
-    return "alloc";
-  case TriggerClock::GcCount:
-    return "gc";
-  }
-  return "?";
-}
-
-inline const char *faultShapeName(FaultShape Shape) {
-  switch (Shape) {
-  case FaultShape::Drip:
-    return "drip";
-  case FaultShape::Storm:
-    return "storm";
-  case FaultShape::Region:
-    return "region";
-  case FaultShape::Replay:
-    return "replay";
-  case FaultShape::Crash:
-    return "crash";
-  }
-  return "?";
-}
-
 /// One scheduled wear-out pattern.
 struct FaultTrigger {
   FaultShape Shape = FaultShape::Drip;

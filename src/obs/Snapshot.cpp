@@ -8,56 +8,33 @@
 #include "heap/ImmixSpace.h"
 #include "heap/LargeObjectSpace.h"
 #include "os/Os.h"
-#include "pcm/PcmDevice.h"
 #include "pcm/WearSimulation.h"
 #include "support/JsonWriter.h"
 
 #include <cstdlib>
-#include <functional>
 
 namespace wearmem {
 namespace obs {
 
-namespace {
-
-WearHeatmap buildHeatmap(uint64_t NumLines, uint64_t LinesPerBucket,
-                         const std::function<uint64_t(uint64_t)> &WearOf,
-                         const std::function<bool(uint64_t)> &FailedAt) {
+WearHeatmap WearHeatmap::fromWearSim(const WearSimResult &Result,
+                                     uint64_t LinesPerBucket) {
+  uint64_t NumLines = Result.WearCounts.size();
   WearHeatmap H;
   H.LinesPerBucket = LinesPerBucket ? LinesPerBucket : 1;
   H.TotalLines = NumLines;
   H.Buckets.resize((NumLines + H.LinesPerBucket - 1) / H.LinesPerBucket);
   for (uint64_t L = 0; L < NumLines; ++L) {
     WearBucket &B = H.Buckets[L / H.LinesPerBucket];
-    uint64_t W = WearOf(L);
+    uint64_t W = Result.WearCounts[L];
     B.Wear += W;
     B.Lines += 1;
     H.TotalWear += W;
-    if (FailedAt(L)) {
+    if (Result.Map.isFailed(LineIndex(L))) {
       B.Failed += 1;
       H.FailedLines += 1;
     }
   }
   return H;
-}
-
-} // namespace
-
-WearHeatmap WearHeatmap::fromDevice(const PcmDevice &Device,
-                                    uint64_t LinesPerBucket) {
-  const std::vector<uint32_t> &Counts = Device.wearCounts();
-  return buildHeatmap(
-      Device.numLines(), LinesPerBucket,
-      [&](uint64_t L) { return uint64_t(Counts[L]); },
-      [&](uint64_t L) { return Device.physicalLineFailed(LineIndex(L)); });
-}
-
-WearHeatmap WearHeatmap::fromWearSim(const WearSimResult &Result,
-                                     uint64_t LinesPerBucket) {
-  return buildHeatmap(
-      Result.WearCounts.size(), LinesPerBucket,
-      [&](uint64_t L) { return uint64_t(Result.WearCounts[L]); },
-      [&](uint64_t L) { return Result.Map.isFailed(LineIndex(L)); });
 }
 
 void WearHeatmap::toJson(JsonWriter &W) const {

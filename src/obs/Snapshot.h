@@ -30,7 +30,6 @@ namespace wearmem {
 
 class Heap;
 class JsonWriter;
-class PcmDevice;
 struct WearSimResult;
 
 namespace obs {
@@ -53,11 +52,6 @@ struct WearHeatmap {
   uint64_t FailedLines = 0;
   uint64_t TotalWear = 0; ///< Sum over all buckets (== all line writes).
   std::vector<WearBucket> Buckets;
-
-  /// Physical-line wear and wear-out state of a device. Counts every
-  /// budget decrement, including writes redirected by clustering.
-  static WearHeatmap fromDevice(const PcmDevice &Device,
-                                uint64_t LinesPerBucket);
 
   /// Logical-line wear of a WearSimulation run (requires the simulation's
   /// per-line WearCounts).

@@ -8,7 +8,6 @@
 #include "os/ShardDirectory.h"
 
 #include "obs/Hooks.h"
-#include "support/JsonWriter.h"
 
 #include <algorithm>
 #include <cassert>
@@ -261,23 +260,4 @@ uint64_t ShardDirectory::quotaShare(uint32_t Tenant) const {
 
 const ShardDirStats &ShardDirectory::stats(uint32_t Tenant) const {
   return entry(Tenant).Stats;
-}
-
-void ShardDirectory::journalToJson(JsonWriter &W, size_t MaxEvents) const {
-  W.openArray(JsonWriter::Style::Line);
-  size_t N = std::min(Journal.size(), MaxEvents);
-  for (size_t I = 0; I != N; ++I) {
-    const DirectoryEvent &E = Journal[I];
-    W.openObject(JsonWriter::Style::Inline);
-    W.key("kind");
-    W.value(directoryEventName(E.What));
-    W.key("at_us");
-    W.value(E.AtUs);
-    W.key("tenant");
-    W.value(static_cast<uint64_t>(E.Tenant));
-    W.key("value");
-    W.value(E.Value);
-    W.close();
-  }
-  W.close();
 }

@@ -35,8 +35,6 @@
 
 namespace wearmem {
 
-class JsonWriter;
-
 /// How the per-window perfect-page budget is split across tenants.
 enum class QuotaPolicy : uint8_t {
   /// Equal shares, remainder to low tenant ids. Strong isolation: one
@@ -105,7 +103,6 @@ public:
   /// register in any order - state is keyed by id.
   void registerShard(uint32_t Tenant, size_t CarvePages);
   size_t carvePages(uint32_t Tenant) const;
-  unsigned numShards() const { return static_cast<unsigned>(Shards.size()); }
 
   /// Advances the window clock to \p NowUs, rebalancing per-tenant
   /// quota shares at each window boundary crossed.
@@ -135,7 +132,6 @@ public:
   /// stall is the device catching up), journals it, and returns true.
   bool chargeStallIfBackpressured(uint32_t Victim, uint64_t NowUs);
 
-  uint64_t bufferOccupancy() const { return TotalLines; }
   uint64_t bufferPeak() const { return PeakLines; }
   /// Tenant's perfect-page share for the current window.
   uint64_t quotaShare(uint32_t Tenant) const;
@@ -143,10 +139,6 @@ public:
   const ShardDirStats &stats(uint32_t Tenant) const;
   const std::vector<DirectoryEvent> &journal() const { return Journal; }
   uint64_t journalDropped() const { return JournalDropped; }
-
-  /// Emits the journal as a JSON array in value position (first
-  /// \p MaxEvents events; deterministic).
-  void journalToJson(JsonWriter &W, size_t MaxEvents = 64) const;
 
 private:
   struct ShardEntry {

@@ -143,7 +143,6 @@ public:
   ClusteringHardware(size_t NumPages, unsigned RegionPages,
                      size_t MapCacheSize = 16);
 
-  unsigned regionPages() const { return RegionPages; }
   size_t numRegions() const { return Regions.size(); }
   size_t linesPerRegion() const { return LinesPerRegion; }
 

@@ -45,9 +45,6 @@ using PageIndex = uint64_t;
 
 constexpr LineIndex lineOfAddr(PcmAddr Addr) { return Addr / PcmLineSize; }
 constexpr PcmAddr addrOfLine(LineIndex Line) { return Line * PcmLineSize; }
-constexpr PageIndex pageOfLine(LineIndex Line) {
-  return Line / PcmLinesPerPage;
-}
 constexpr PageIndex pageOfAddr(PcmAddr Addr) {
   return Addr / PcmPageSize;
 }

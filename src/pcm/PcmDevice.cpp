@@ -18,7 +18,6 @@ using namespace wearmem;
 PcmDevice::PcmDevice(const PcmDeviceConfig &Config)
     : Config(Config), Storage(Config.NumPages * PcmPageSize, 0),
       Budget(Config.NumPages * PcmLinesPerPage),
-      WearCounts(Config.NumPages * PcmLinesPerPage, 0),
       PhysFailed(Config.NumPages * PcmLinesPerPage),
       SoftwareMap(Config.NumPages * PcmLinesPerPage),
       Buffer(Config.FailureBufferCapacity) {
@@ -80,7 +79,6 @@ WriteResult PcmDevice::writeLine(LineIndex Logical, const uint8_t *Data) {
          "a live logical line is backed by a dead physical line");
   ++Stats.LineWrites;
   assert(Budget[Physical] > 0 && "dead line escaped the failure map");
-  ++WearCounts[Physical];
   if (--Budget[Physical] == 0) {
     // The write completed but verification found the cell stuck: the line
     // has permanently failed (Section 2.2). Latch data, route, interrupt.
@@ -123,8 +121,7 @@ bool PcmDevice::forceFailLine(LineIndex Logical) {
   LineIndex Physical = translate(Logical);
   uint8_t Data[PcmLineSize];
   std::memcpy(Data, lineStorage(Physical), PcmLineSize);
-  // The forcing write is the one that stuck; charge it as wear.
-  ++WearCounts[Physical];
+  // The forcing write is the one that stuck.
   Budget[Physical] = 0;
   PhysFailed.set(Physical);
   ++Stats.WearFailures;
@@ -207,7 +204,6 @@ void PcmDevice::handleWearFailure(LineIndex Logical, const uint8_t *Data) {
   LineIndex NewPhysical = translate(Logical);
   assert(!PhysFailed.get(NewPhysical) && "remapped onto a dead line");
   ++Stats.LineWrites;
-  ++WearCounts[NewPhysical];
   if (--Budget[NewPhysical] == 0) {
     PhysFailed.set(NewPhysical);
     ++Stats.WearFailures;

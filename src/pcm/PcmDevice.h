@@ -147,18 +147,6 @@ public:
 
   const ClusteringHardware *clustering() const { return Clustering.get(); }
 
-  /// Writes absorbed so far by each *physical* line (every budget
-  /// decrement, including redirected re-writes after clustering). Feeds
-  /// the obs wear heatmap; maintained unconditionally because it is part
-  /// of the deterministic device state.
-  const std::vector<uint32_t> &wearCounts() const { return WearCounts; }
-
-  /// Whether a *physical* line has worn out (obs heatmaps report physical
-  /// wear; the software map reports the post-redirection logical view).
-  bool physicalLineFailed(LineIndex Physical) const {
-    return PhysFailed.get(Physical);
-  }
-
   /// Remaining write budget of the *physical* line currently backing a
   /// logical line (test/diagnostic hook).
   uint64_t remainingWrites(LineIndex Logical) const;
@@ -187,8 +175,6 @@ private:
   std::vector<uint8_t> Storage;
   /// Remaining write budget per *physical* line.
   std::vector<uint64_t> Budget;
-  /// Writes absorbed per *physical* line (mirrors Budget decrements).
-  std::vector<uint32_t> WearCounts;
   /// Physical lines that have worn out.
   Bitmap PhysFailed;
   /// Logical failure map exposed to software.

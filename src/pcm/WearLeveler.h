@@ -43,10 +43,8 @@ public:
   }
 
   size_t numLines() const { return NumLines; }
-  size_t numPhysicalSlots() const { return NumLines + 1; }
   size_t gapPosition() const { return Gap; }
   size_t startPosition() const { return Start; }
-  uint64_t gapMoves() const { return Moves; }
 
   /// Logical line -> physical slot in [0, NumLines].
   size_t translate(size_t Logical) const {
@@ -68,7 +66,6 @@ public:
     if (++WritesSinceMove < GapInterval)
       return SIZE_MAX;
     WritesSinceMove = 0;
-    ++Moves;
     if (Gap == 0) {
       // Gap wrapped: one full traversal complete; rotate the start.
       Gap = NumLines;
@@ -87,7 +84,6 @@ private:
   size_t Gap;
   size_t Start = 0;
   uint64_t WritesSinceMove = 0;
-  uint64_t Moves = 0;
 };
 
 } // namespace wearmem

@@ -120,19 +120,19 @@ ServeResult wearmem::runServe(const ServeOptions &Opt) {
     return Out;
   }
 
-  // Resolve per-tenant profiles, campaigns, and page carves up front so
-  // misconfiguration fails before any heap exists.
-  struct Prep {
-    const Profile *P = nullptr;
-    std::vector<FaultTrigger> Triggers;
-    size_t HeapBytes = 0;
-    size_t CarvePages = 0;
-  };
-  std::vector<Prep> Preps(N);
+  // Resolve each tenant's shard config - profile, campaign, runtime and
+  // page carve - up front so misconfiguration fails before any heap
+  // exists.
+  std::vector<TenantShardConfig> Configs(N);
   for (unsigned K = 0; K != N; ++K) {
     const TenantSpec &Spec = Opt.Tenants[K];
-    Preps[K].P = findProfile(Spec.ProfileName);
-    if (!Preps[K].P) {
+    TenantShardConfig &Shard = Configs[K];
+    Shard.Id = K;
+    Shard.Lanes = Opt.LanesPerShard;
+    Shard.WarmupScale = Opt.WarmupScale;
+    Shard.SessionSteps = Opt.SessionSteps;
+    Shard.P = findProfile(Spec.ProfileName);
+    if (!Shard.P) {
       Out.Error = "unknown profile: " + Spec.ProfileName;
       return Out;
     }
@@ -143,24 +143,30 @@ ServeResult wearmem::runServe(const ServeOptions &Opt) {
         Out.Error = "tenant " + std::to_string(K) + " campaign: " + Err;
         return Out;
       }
-      Preps[K].Triggers = std::move(*Parsed);
+      Shard.Triggers = std::move(*Parsed);
     }
     if (Spec.BudgetScale <= 0.0) {
       Out.Error = "budget scale must be positive";
       return Out;
     }
-    Preps[K].HeapBytes =
-        heapBytesFor(*Preps[K].P, Opt.HeapFactor) * Opt.LanesPerShard;
+    RuntimeConfig &Cfg = Shard.Runtime;
+    Cfg.Collector = Opt.Collector;
+    Cfg.GcThreads = Opt.GcThreads;
+    Cfg.Seed = Opt.Seed + 0xD1B54A32D192ED03ULL * (K + 1);
+    Cfg.FailureRate = Spec.FailureRate;
+    // Sizes the TLAB/trigger heuristics; the page budget is the carve.
+    Cfg.HeapBytes =
+        heapBytesFor(*Shard.P, Opt.HeapFactor) * Opt.LanesPerShard;
+    if (Spec.ThrottlePerfectFraction >= 0.0)
+      Cfg.ThrottlePerfectFraction = Spec.ThrottlePerfectFraction;
+    if (Spec.EmergencyPerfectFraction >= 0.0)
+      Cfg.EmergencyPerfectFraction = Spec.EmergencyPerfectFraction;
     // The tenant's natural, compensation-aware budget - then scaled by
     // the spec. toHeapConfig re-aligns the carve to block granules.
-    RuntimeConfig Probe;
-    Probe.Collector = Opt.Collector;
-    Probe.FailureRate = Spec.FailureRate;
-    Probe.HeapBytes = Preps[K].HeapBytes;
-    size_t Natural = Probe.toHeapConfig().BudgetPages;
+    size_t Natural = Cfg.toHeapConfig().BudgetPages;
     size_t Carve = static_cast<size_t>(
         static_cast<double>(Natural) * Spec.BudgetScale);
-    Preps[K].CarvePages = Carve < 1 ? 1 : Carve;
+    Cfg.BudgetPagesOverride = Carve < 1 ? 1 : Carve;
   }
 
   ShardDirectoryConfig DirCfg = Opt.Dir;
@@ -173,7 +179,7 @@ ServeResult wearmem::runServe(const ServeOptions &Opt) {
   // Registration, construction, and warmup all walk the permuted order:
   // the gate's claim is that none of it shows in the results.
   for (unsigned K : Perm)
-    Dir.registerShard(K, Preps[K].CarvePages);
+    Dir.registerShard(K, Configs[K].Runtime.BudgetPagesOverride);
 
   std::vector<ShardState> S(N);
   const double MeanGapUs = 1e6 / Opt.ArrivalRatePerSec;
@@ -182,24 +188,7 @@ ServeResult wearmem::runServe(const ServeOptions &Opt) {
   Out.HorizonUs = HorizonUs;
 
   for (unsigned K : Perm) {
-    const TenantSpec &Spec = Opt.Tenants[K];
-    TenantShardConfig Cfg;
-    Cfg.Id = K;
-    Cfg.P = Preps[K].P;
-    Cfg.Seed = Opt.Seed + 0xD1B54A32D192ED03ULL * (K + 1);
-    Cfg.Lanes = Opt.LanesPerShard;
-    Cfg.CarvePages = Preps[K].CarvePages;
-    Cfg.Collector = Opt.Collector;
-    Cfg.GcThreads = Opt.GcThreads;
-    Cfg.FailureRate = Spec.FailureRate;
-    Cfg.HeapBytes = Preps[K].HeapBytes;
-    Cfg.Triggers = Preps[K].Triggers;
-    Cfg.WarmupScale = Opt.WarmupScale;
-    Cfg.MinSteps = Opt.SessionSteps;
-    Cfg.StepSpread = Opt.SessionSteps;
-    Cfg.ThrottlePerfectFraction = Spec.ThrottlePerfectFraction;
-    Cfg.EmergencyPerfectFraction = Spec.EmergencyPerfectFraction;
-    S[K].Shard = std::make_unique<TenantShard>(Cfg, Dir);
+    S[K].Shard = std::make_unique<TenantShard>(Configs[K], Dir);
     if (!S[K].Shard->warmUp())
       S[K].Dead = true; // Carved too small: born exhausted, not an error.
     S[K].ArrRand = std::make_unique<Rng>(

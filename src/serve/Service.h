@@ -44,8 +44,9 @@ struct TenantSpec {
   double BudgetScale = 1.0;
   /// Static (manufacturing-time) failure rate of the tenant's region.
   double FailureRate = 0.0;
-  /// Ladder overrides (negative keeps defaults); used by tests to drive
-  /// a tenant into Emergency quickly.
+  /// Perfect-pool ladder thresholds for this tenant's runtime, applied
+  /// by runServe; negative keeps the RuntimeConfig default. Zero fires
+  /// the perfect-pool triggers only once the pool is empty.
   double ThrottlePerfectFraction = -1.0;
   double EmergencyPerfectFraction = -1.0;
 };

@@ -15,30 +15,11 @@
 
 using namespace wearmem;
 
-namespace {
-
-RuntimeConfig shardRuntimeConfig(const TenantShardConfig &C) {
-  assert(C.P && "tenant profile required");
-  RuntimeConfig Cfg;
-  Cfg.Collector = C.Collector;
-  Cfg.GcThreads = C.GcThreads;
-  Cfg.Seed = C.Seed;
-  Cfg.FailureRate = C.FailureRate;
-  Cfg.HeapBytes = C.HeapBytes;
-  Cfg.BudgetPagesOverride = C.CarvePages;
-  if (C.ThrottlePerfectFraction >= 0.0)
-    Cfg.ThrottlePerfectFraction = C.ThrottlePerfectFraction;
-  if (C.EmergencyPerfectFraction >= 0.0)
-    Cfg.EmergencyPerfectFraction = C.EmergencyPerfectFraction;
-  return Cfg;
-}
-
-} // namespace
-
 TenantShard::TenantShard(const TenantShardConfig &Config, ShardDirectory &Dir)
     : Config(Config), Dir(Dir),
-      Rt(std::make_unique<Runtime>(shardRuntimeConfig(Config))),
-      SessionRand(Config.Seed ^ 0x5E54EBA5EULL) {
+      Rt(std::make_unique<Runtime>(Config.Runtime)),
+      SessionRand(Config.Runtime.Seed ^ 0x5E54EBA5EULL) {
+  assert(this->Config.P && "tenant profile required");
   assert(this->Config.Lanes >= 1 && "at least one lane per shard");
 }
 
@@ -48,13 +29,11 @@ bool TenantShard::warmUp() {
   // Phase 1: a scaled pool pass builds a realistically fragmented live
   // set across every lane (same shared wiring as wearmem_run/_soak).
   {
-    PoolDriverSpec Spec;
-    Spec.Lanes = Config.Lanes;
-    Spec.Threads = 1;
-    Spec.Seed = Config.Seed;
-    Spec.VolumeScale = Config.WarmupScale;
-    Spec.DriveMark = false;
-    PoolDriver Warmup(*Rt, *Config.P, Spec);
+    MutatorPoolOptions Opts;
+    Opts.Lanes = Config.Lanes;
+    Opts.Seed = Config.Runtime.Seed;
+    Opts.VolumeScale = Config.WarmupScale;
+    PoolDriver Warmup(*Rt, *Config.P, Opts);
     if (!Warmup.run())
       return false;
   }
@@ -66,7 +45,7 @@ bool TenantShard::warmUp() {
   for (unsigned Lane = 0; Lane != Config.Lanes; ++Lane) {
     Rt->heap().setActiveLane(Lane);
     Rt->heap().drainLaneMailbox(Lane);
-    uint64_t Seed = Config.Seed + 0x9E3779B97F4A7C15ULL * (Lane + 101);
+    uint64_t Seed = Config.Runtime.Seed + 0x9E3779B97F4A7C15ULL * (Lane + 101);
     auto M = std::make_unique<Mutator>(*Rt, *Config.P, Seed);
     if (!M->setUp())
       return false;
@@ -76,7 +55,8 @@ bool TenantShard::warmUp() {
   // Phase 3: arm the campaign only once serving starts, so warmup is
   // identical for every tenant and scheduling order.
   if (!Config.Triggers.empty()) {
-    Campaign = std::make_unique<FaultCampaign>(Config.Triggers, Config.Seed);
+    Campaign =
+        std::make_unique<FaultCampaign>(Config.Triggers, Config.Runtime.Seed);
     Campaign->attachRuntime(*Rt);
   }
   return true;
@@ -98,8 +78,8 @@ SessionReceipt TenantShard::serve(uint64_t RequestIndex, uint64_t NowUs) {
   uint64_t RefusedBefore = M.refusedAllocs();
 
   unsigned Steps =
-      Config.MinSteps +
-      static_cast<unsigned>(SessionRand.nextBelow(Config.StepSpread + 1));
+      Config.SessionSteps +
+      static_cast<unsigned>(SessionRand.nextBelow(Config.SessionSteps + 1));
   for (unsigned I = 0; I != Steps; ++I) {
     if (Campaign)
       Campaign->pump();

@@ -37,27 +37,20 @@ namespace wearmem {
 struct TenantShardConfig {
   uint32_t Id = 0;
   const Profile *P = nullptr;
-  uint64_t Seed = 42;
+  /// The tenant's runtime, as runServe built it: BudgetPagesOverride is
+  /// the directory's page carve, HeapBytes only sizes the TLAB/trigger
+  /// heuristics, and TenantSpec's ladder overrides are already applied.
+  /// Its Seed also seeds the warmup pool, the serving mutators, the
+  /// campaign and the session lengths.
+  RuntimeConfig Runtime;
   unsigned Lanes = 1;
-  /// The directory's page carve; becomes BudgetPagesOverride.
-  size_t CarvePages = 0;
-  CollectorKind Collector = CollectorKind::StickyImmix;
-  unsigned GcThreads = 1;
-  double FailureRate = 0.0;
-  /// Heap sizing used only for the TLAB/trigger heuristics (the page
-  /// budget itself comes from CarvePages).
-  size_t HeapBytes = 0;
   /// Pre-parsed fault campaign; empty = quiet tenant.
   std::vector<FaultTrigger> Triggers;
   /// Steady-volume fraction the warmup pool runs before serving.
   double WarmupScale = 0.05;
-  /// Request sessions run MinSteps + uniform[0, StepSpread] steps.
-  unsigned MinSteps = 6;
-  unsigned StepSpread = 10;
-  /// Ladder overrides for tests driving a tenant into Emergency fast;
-  /// negative keeps the RuntimeConfig default.
-  double ThrottlePerfectFraction = -1.0;
-  double EmergencyPerfectFraction = -1.0;
+  /// Request sessions run SessionSteps + uniform[0, SessionSteps] steps
+  /// (ServeOptions::SessionSteps).
+  unsigned SessionSteps = 24;
 };
 
 /// Why a session ended.

@@ -7,11 +7,13 @@
 ///
 /// \file
 /// The multi-lane mutator stack every tool builds the same way: the
-/// MutatorPoolOptions derived from the caller's knobs, the MutatorPool
-/// itself, the shared IncMarkDriver pacing policy, and the turn hook that
-/// pumps the driver before the caller's own per-turn bookkeeping.
-/// wearmem_run, wearmem_soak, and wearmem_serve all drive pools through
-/// this helper instead of keeping three copies of the wiring.
+/// MutatorPool itself, the shared IncMarkDriver pacing policy, and the
+/// turn hook that pumps the driver before the caller's own per-turn
+/// bookkeeping. wearmem_run, wearmem_soak, and the serve shards' warmup
+/// all drive pools through this helper instead of keeping three copies
+/// of the wiring. The hook pumps the mark driver exactly when the
+/// runtime paces its mark (RuntimeConfig::IncrementalMark or
+/// ConcurrentMark); the driver reads the pacing from the same config.
 ///
 /// The hook composition preserves the tools' historical order: the mark
 /// driver is pumped first (so a cycle's opens and closes land on the
@@ -31,25 +33,12 @@
 
 namespace wearmem {
 
-/// The knobs the tools forward into a pooled run. Mirrors
-/// MutatorPoolOptions plus the one policy decision the tools used to
-/// duplicate: whether the turn hook drives SATB mark cycles.
-struct PoolDriverSpec {
-  unsigned Lanes = 1;
-  unsigned Threads = 1;
-  uint64_t Seed = 42;
-  double VolumeScale = 1.0;
-  AdversaryKind Adversary = AdversaryKind::None;
-  /// Pump the shared IncMarkDriver each turn (callers pass their
-  /// MarkFlags::anyMode(); the runtime config picks the pacing).
-  bool DriveMark = false;
-};
-
 class PoolDriver {
 public:
-  PoolDriver(Runtime &Rt, const Profile &P, const PoolDriverSpec &Spec)
-      : Pool_(Rt, P, toPoolOptions(Spec)), Inc_(Rt, Pool_.targetBytes()),
-        DriveMark(Spec.DriveMark) {
+  PoolDriver(Runtime &Rt, const Profile &P, const MutatorPoolOptions &Opts)
+      : Pool_(Rt, P, Opts), Inc_(Rt, Pool_.targetBytes()),
+        DriveMark(Rt.config().IncrementalMark ||
+                  Rt.config().ConcurrentMark) {
     installHook();
   }
 
@@ -75,16 +64,6 @@ public:
   uint64_t targetBytes() const { return Pool_.targetBytes(); }
 
 private:
-  static MutatorPoolOptions toPoolOptions(const PoolDriverSpec &Spec) {
-    MutatorPoolOptions Opts;
-    Opts.Lanes = Spec.Lanes;
-    Opts.Threads = Spec.Threads;
-    Opts.Seed = Spec.Seed;
-    Opts.VolumeScale = Spec.VolumeScale;
-    Opts.Adversary = Spec.Adversary;
-    return Opts;
-  }
-
   void installHook() {
     Pool_.setTurnHook([this](unsigned Lane, uint64_t Turn) {
       if (DriveMark)

@@ -91,9 +91,10 @@ TEST_P(PcmDeviceFuzz, MatchesShadowThroughWearout) {
       Device.readLine(Line, Out);
       // A line the kernel retired after its last write is unreadable;
       // everything else must match the shadow.
-      if (!Device.softwareFailureMap().isFailed(Line))
+      if (!Device.softwareFailureMap().isFailed(Line)) {
         ASSERT_EQ(std::memcmp(Out, Shadow[Line].data(), PcmLineSize), 0)
             << "line " << Line << " after op " << Op;
+      }
     }
   }
   EXPECT_GT(DurableWrites, 10000u);
@@ -148,7 +149,7 @@ TEST_P(HeapFuzz, GraphMatchesShadow) {
   // in the heap objects' payloads, so the graph can be compared after
   // arbitrary moves.
   struct ShadowNode {
-    uint64_t Id;
+    uint64_t Id = 0;
     std::vector<uint64_t> Children;
   };
   constexpr unsigned NumRoots = 24;

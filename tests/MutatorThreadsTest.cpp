@@ -8,9 +8,10 @@
 // The multi-threaded mutator engine under failure storms: the safepoint
 // handshake (park, blocked regions, the hang watchdog), per-lane TLAB
 // ownership and its auditor invariants, thread-targeted interrupt
-// routing with the Routed == Delivered + Orphaned ledger, and the
+// routing with the Routed == Delivered + Orphaned ledger, the
 // lane-schedule determinism contract (bit-identical digests for any
-// mutator thread count at a fixed lane count).
+// mutator thread count at a fixed lane count), and the PoolDriver's
+// mark pumping under each pacing.
 //
 //===----------------------------------------------------------------------===//
 
@@ -19,6 +20,7 @@
 #include "inject/FaultCampaign.h"
 #include "os/OsKernel.h"
 #include "workload/MutatorPool.h"
+#include "workload/PoolDriver.h"
 
 #include <gtest/gtest.h>
 
@@ -411,6 +413,32 @@ TEST(MutatorPoolTest, TurnHookSeesEveryLaneAndCanAbort) {
   EXPECT_TRUE(Pool.failed());
   EXPECT_TRUE(Seen[0]);
   EXPECT_TRUE(Seen[1]);
+}
+
+TEST(PoolDriverTest, DrivesMarkCyclesExactlyWhenTheRuntimePacesThem) {
+  enum class Pacing { Interleaved, Concurrent, StopTheWorld };
+  for (Pacing M :
+       {Pacing::Interleaved, Pacing::Concurrent, Pacing::StopTheWorld}) {
+    RuntimeConfig Config = laneConfig(2);
+    Config.IncrementalMark = M == Pacing::Interleaved;
+    Config.ConcurrentMark = M == Pacing::Concurrent;
+    Runtime Rt(Config);
+    MutatorPoolOptions Opts;
+    Opts.Lanes = 2;
+    Opts.Threads = 2;
+    Opts.VolumeScale = 0.25;
+    PoolDriver Driver(Rt, *findProfile("luindex"), Opts);
+    ASSERT_TRUE(Driver.run());
+    Driver.flushMark();
+    const HeapStats &S = Rt.stats();
+    if (M == Pacing::StopTheWorld) {
+      EXPECT_EQ(S.IncrementalCyclesOpened, 0u);
+    } else {
+      EXPECT_GE(S.IncrementalCyclesOpened, 1u);
+      EXPECT_EQ(S.IncrementalCyclesClosed, S.IncrementalCyclesOpened);
+    }
+    EXPECT_FALSE(Rt.incrementalCycleOpen());
+  }
 }
 
 TEST(MutatorPoolTest, HandshakeStormSoakHasNoFailStopsAndNoLostInterrupts) {

@@ -1,4 +1,4 @@
-//===- tests/OsTest.cpp - OS provisioning, kernel, and swap tests ---------===//
+//===- tests/OsTest.cpp - OS provisioning and kernel tests ----------------===//
 //
 // Part of the wearmem project, a reproduction of "Using Managed Runtime
 // Systems to Tolerate Holes in Wearable Memories" (PLDI 2013).
@@ -7,7 +7,6 @@
 
 #include "os/Os.h"
 #include "os/OsKernel.h"
-#include "os/SwapManager.h"
 
 #include <gtest/gtest.h>
 
@@ -298,55 +297,4 @@ TEST(OsKernelTest, BackpressureGivesUpWhenTheDrainPathIsBusy) {
   // Once the handler returned, the outer loop drained everything.
   EXPECT_TRUE(Device.pendingFailures().empty());
   EXPECT_EQ(Calls, 1);
-}
-
-//===----------------------------------------------------------------------===//
-// SwapManager: failure-compatible placement
-//===----------------------------------------------------------------------===//
-
-TEST(SwapManagerTest, PerfectOnlyPolicy) {
-  SwapManager Swap(SwapPolicy::PerfectOnly);
-  std::vector<uint64_t> Pool = {0b1010, 0, 0b1};
-  auto Placement = Swap.place(0b1110, Pool);
-  ASSERT_TRUE(Placement.has_value());
-  EXPECT_EQ(Placement->PoolIndex, 1u);
-  EXPECT_TRUE(Placement->UsedPerfectPage);
-}
-
-TEST(SwapManagerTest, SubsetMatchPrefersFullestCompatible) {
-  SwapManager Swap(SwapPolicy::SubsetMatch);
-  // Source fails lines {1,2,3}; compatible destinations fail subsets.
-  std::vector<uint64_t> Pool = {0b0010, 0b0110, 0b1000, 0};
-  auto Placement = Swap.place(0b1110, Pool);
-  ASSERT_TRUE(Placement.has_value());
-  EXPECT_EQ(Placement->PoolIndex, 1u); // {1,2}: densest subset.
-  EXPECT_FALSE(Placement->UsedPerfectPage);
-  EXPECT_EQ(Swap.stats().SubsetMatches, 1u);
-}
-
-TEST(SwapManagerTest, SubsetMatchFallsBackToPerfect) {
-  SwapManager Swap(SwapPolicy::SubsetMatch);
-  std::vector<uint64_t> Pool = {0b1000, 0};
-  auto Placement = Swap.place(0b0110, Pool);
-  ASSERT_TRUE(Placement.has_value());
-  EXPECT_TRUE(Placement->UsedPerfectPage);
-  EXPECT_EQ(Swap.stats().PerfectFallbacks, 1u);
-}
-
-TEST(SwapManagerTest, ClusteredCountMatching) {
-  SwapManager Swap(SwapPolicy::ClusteredCount);
-  // Clustered maps: counts are all that matter. Source has 3 failures;
-  // any destination with <= 3 works, fullest preferred.
-  std::vector<uint64_t> Pool = {0b1, 0b11, 0b11110, 0};
-  auto Placement = Swap.place(0b111, Pool);
-  ASSERT_TRUE(Placement.has_value());
-  EXPECT_EQ(Placement->PoolIndex, 1u); // Two failures: densest <= 3.
-  EXPECT_EQ(Swap.stats().ClusteredMatches, 1u);
-}
-
-TEST(SwapManagerTest, NoDestinationAvailable) {
-  SwapManager Swap(SwapPolicy::PerfectOnly);
-  std::vector<uint64_t> Pool = {0b1, 0b10};
-  EXPECT_FALSE(Swap.place(0b1, Pool).has_value());
-  EXPECT_EQ(Swap.stats().Failures, 1u);
 }

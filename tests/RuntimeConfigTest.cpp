@@ -46,6 +46,52 @@ TEST(RuntimeConfigTest, ClusteringImpliesPushPattern) {
             FailurePattern::Uniform);
 }
 
+TEST(RuntimeConfigTest, PolicyKnobsPassThroughUnchanged) {
+  RuntimeConfig Config;
+  Config.Collector = CollectorKind::Immix;
+  Config.BlockSize = 64 * KiB;
+  Config.LineSize = 128;
+  Config.ConservativeLineMarking = false;
+  Config.FailureAware = false;
+  Config.FreeListFailureAware = true;
+  Config.DefragFreeFraction = 0.4;
+  Config.MaxDebtPages = 7;
+  Config.StormOverloadFraction = 0.6;
+  Config.ThrottlePerfectFraction = 0.3;
+  Config.ThrottleRetiredBlocks = 9;
+  Config.EmergencyPerfectFraction = 0.02;
+  Config.EmergencyRetiredFraction = 0.35;
+  Config.GcThreads = 3;
+  Config.IncrementalMark = true;
+  Config.ConcurrentMark = true;
+  Config.MarkBudget = 77;
+  const HeapPolicy Defaults;
+  HeapConfig Heap = Config.toHeapConfig();
+  // Each knob is set away from its default, so a knob the derivation
+  // dropped would read back as the default and fail.
+#define EXPECT_PASSED_THROUGH(Knob)                                          \
+  EXPECT_NE(Config.Knob, Defaults.Knob) << #Knob;                            \
+  EXPECT_EQ(Heap.Knob, Config.Knob) << #Knob
+  EXPECT_PASSED_THROUGH(Collector);
+  EXPECT_PASSED_THROUGH(BlockSize);
+  EXPECT_PASSED_THROUGH(LineSize);
+  EXPECT_PASSED_THROUGH(ConservativeLineMarking);
+  EXPECT_PASSED_THROUGH(FailureAware);
+  EXPECT_PASSED_THROUGH(FreeListFailureAware);
+  EXPECT_PASSED_THROUGH(DefragFreeFraction);
+  EXPECT_PASSED_THROUGH(MaxDebtPages);
+  EXPECT_PASSED_THROUGH(StormOverloadFraction);
+  EXPECT_PASSED_THROUGH(ThrottlePerfectFraction);
+  EXPECT_PASSED_THROUGH(ThrottleRetiredBlocks);
+  EXPECT_PASSED_THROUGH(EmergencyPerfectFraction);
+  EXPECT_PASSED_THROUGH(EmergencyRetiredFraction);
+  EXPECT_PASSED_THROUGH(GcThreads);
+  EXPECT_PASSED_THROUGH(IncrementalMark);
+  EXPECT_PASSED_THROUGH(ConcurrentMark);
+  EXPECT_PASSED_THROUGH(MarkBudget);
+#undef EXPECT_PASSED_THROUGH
+}
+
 TEST(RuntimeConfigTest, BudgetRoundsToBlocks) {
   RuntimeConfig Config;
   Config.HeapBytes = 1000 * 1000; // Not block-aligned.

@@ -313,14 +313,13 @@ int main(int argc, char **argv) {
     // count so per-lane headroom matches the single-lane run.
     Config.HeapBytes *= L;
     Runtime Rt(Config);
-    PoolDriverSpec Spec;
-    Spec.Lanes = L;
-    Spec.Threads = MutatorThreads;
-    Spec.Seed = Seed;
-    Spec.VolumeScale = benchScale();
-    Spec.Adversary = Adversary;
-    Spec.DriveMark = Mark.anyMode();
-    PoolDriver Driver(Rt, *P, Spec);
+    MutatorPoolOptions Opts;
+    Opts.Lanes = L;
+    Opts.Threads = MutatorThreads;
+    Opts.Seed = Seed;
+    Opts.VolumeScale = benchScale();
+    Opts.Adversary = Adversary;
+    PoolDriver Driver(Rt, *P, Opts);
     MutatorPool &Pool = Driver.pool();
     auto Start = std::chrono::steady_clock::now();
     bool Ok = Driver.run();

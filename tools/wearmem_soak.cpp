@@ -448,14 +448,13 @@ SoakOutcome runSoak(const SoakOptions &Opt, const Profile &P,
   Mutator M(Rt, P, Opt.Seed, Opt.VolumeScale, Opt.Adversary);
   std::unique_ptr<PoolDriver> Pool;
   if (poolMode(Opt)) {
-    PoolDriverSpec Spec;
-    Spec.Lanes = poolLanes(Opt);
-    Spec.Threads = Opt.MutatorThreads;
-    Spec.Seed = Opt.Seed;
-    Spec.VolumeScale = Opt.VolumeScale;
-    Spec.Adversary = Opt.Adversary;
-    Spec.DriveMark = Opt.Mark.anyMode();
-    Pool = std::make_unique<PoolDriver>(Rt, P, Spec);
+    MutatorPoolOptions PoolOpts;
+    PoolOpts.Lanes = poolLanes(Opt);
+    PoolOpts.Threads = Opt.MutatorThreads;
+    PoolOpts.Seed = Opt.Seed;
+    PoolOpts.VolumeScale = Opt.VolumeScale;
+    PoolOpts.Adversary = Opt.Adversary;
+    Pool = std::make_unique<PoolDriver>(Rt, P, PoolOpts);
   }
   FaultCampaign Campaign(Triggers, Opt.Seed);
   Campaign.attachRuntime(Rt);
