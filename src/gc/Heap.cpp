@@ -13,11 +13,13 @@
 #include "gc/HeapAuditor.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
-#include <tuple>
+#include <iterator>
+#include <numeric>
 #include <unordered_set>
 
 using namespace wearmem;
@@ -40,17 +42,36 @@ constexpr unsigned ThrottleRetryBudget = 2;
 /// deferring recovery to the next scheduled one.
 constexpr unsigned EmergencyDefragFailedLines = 32;
 
-/// Whole microseconds since \p Start (Timing-domain metrics only).
+/// Whole microseconds from \p Start to \p End (Timing-domain metrics
+/// only).
+uint64_t usBetween(std::chrono::steady_clock::time_point Start,
+                   std::chrono::steady_clock::time_point End) {
+  return static_cast<uint64_t>(
+      std::chrono::duration<double, std::micro>(End - Start).count());
+}
+
 uint64_t usSince(std::chrono::steady_clock::time_point Start) {
-  return static_cast<uint64_t>(std::chrono::duration<double, std::micro>(
-                                   std::chrono::steady_clock::now() - Start)
-                                   .count());
+  return usBetween(Start, std::chrono::steady_clock::now());
+}
+
+/// The copy of \p Obj that survives its forwarding chain.
+ObjRef finalCopy(ObjRef Obj) {
+  while (isForwarded(Obj))
+    Obj = forwardee(Obj);
+  return Obj;
+}
+
+/// \p Obj's reference slots (read the header through finalCopy first).
+ObjRef *slotsOf(ObjRef Obj) {
+  return reinterpret_cast<ObjRef *>(Obj + ObjectHeaderBytes);
 }
 
 } // namespace
 
 Heap::Heap(const HeapConfig &Config)
-    : Config(Config), Os_(Config.BudgetPages, Config.Failures,
+    : Config(Config),
+      BlockShift(static_cast<unsigned>(std::countr_zero(Config.BlockSize))),
+      Os_(Config.BudgetPages, Config.Failures,
                           std::max<size_t>(32 * KiB, Config.BlockSize)),
       Los(Os_, this->Config, Stats,
           [this](size_t Pages) {
@@ -75,6 +96,7 @@ Heap::Heap(const HeapConfig &Config)
   }
   if (this->Config.GcThreads > 1)
     Workers = std::make_unique<GcWorkerPool>(this->Config.GcThreads);
+  CycleStores.resize(1);
 }
 
 Heap::~Heap() {
@@ -117,10 +139,11 @@ void Heap::setMutatorLanes(unsigned Lanes) {
   }
   if (Allocator)
     Allocator->setLane(Lanes > 1 ? 0 : -1);
-  // One SATB buffer per lane: the write barrier appends to the active
-  // lane's thread-confined buffer (no cycle is open here, so the log is
-  // empty and safe to reprovision).
+  // One SATB buffer and one fixup-barrier buffer per lane: the write
+  // barrier appends to the active lane's thread-confined buffers (no
+  // cycle is open here, so both logs are empty and safe to reprovision).
   Satb.setLanes(Lanes);
+  CycleStores.assign(Lanes, {});
   {
     std::lock_guard<std::mutex> Lock(MailboxMu);
     LaneMailboxes.assign(Lanes, {});
@@ -370,6 +393,14 @@ void Heap::writeRef(ObjRef Src, unsigned Slot, ObjRef Dst) {
       Satb.push(ActiveLane, Old);
       ++Stats.SatbLogged;
     }
+    // Fixup barrier: the trace may already have scanned Src, and then
+    // nothing else records that this slot now names an object the close
+    // may move.
+    if (Dst) {
+      Block *B = Immix->blockOf(Dst);
+      if (B && B->evacuating())
+        CycleStores[ActiveLane].push_back({Src, Slot});
+    }
   } else if (isSticky(Config.Collector) && objectMark(Src) == Epoch &&
              !objectHasFlag(Src, FlagLogged)) {
     // Object-remembering barrier: the first mutation of an *old* object
@@ -492,43 +523,52 @@ void Heap::runCollection(CollectionKind Kind) {
 // verbatim between the stop-the-world mark phase and the incremental
 // steps - one tracer, two pacings - which is what keeps the final
 // marked set identical between them.
-void Heap::claimEdge(ObjRef Target, unsigned Wk, bool Full,
+bool Heap::claimEdge(ObjRef Target, unsigned Wk, bool Full,
                      MarkWorkList &WorkList) {
   uint64_t Word = objectWord0Acquire(Target);
-  // Reachable slots never point at forwarded objects when the phase
-  // starts; chase defensively anyway (word1 is stable all phase).
+  // Reachable slots point at forwarded objects only after a large-object
+  // relocation; chase (word1 is stable all phase), and report the slot.
+  bool Forwarded = false;
   while (word0Flags(Word) & FlagForwarded) {
     Target = forwardee(Target);
     Word = objectWord0Acquire(Target);
+    Forwarded = true;
   }
   uint64_t ClaimedWord;
-  if (!tryClaimObjectMark(Target, Epoch, ClaimedWord))
-    return;
+  if (!tryClaimObjectMark(Target, Epoch, ClaimedWord)) {
+    // Another edge claimed it, but this slot needs a fixup all the same
+    // if the target is about to move.
+    if (Forwarded || !Full || !Immix || (word0Flags(Word) & FlagLarge))
+      return Forwarded;
+    return Immix->blockOf(Target)->evacuating();
+  }
   MarkWorker &MW = MarkWorkers[Wk];
   ++MW.ObjectsMarked;
 #ifdef WEARMEM_EXPENSIVE_CHECKS
   MW.Claimed.push_back(Target);
 #endif
   uint8_t Flags = word0Flags(ClaimedWord);
+  bool MayMove = Forwarded;
   if (Immix && !(Flags & FlagLarge)) {
     Block *B = Immix->blockOf(Target);
     assert(B && "unmanaged address reached the tracer");
     size_t Size = word0Size(ClaimedWord);
     bool Pinned = (Flags & FlagPinned) != 0;
+    MayMove |= B->evacuating();
     // Every nursery survivor is a copy candidate (Sticky Immix).
     bool WantCopy = !Full || B->evacuating();
     if (WantCopy && !Pinned) {
       // Copying allocates, which is order-dependent; deferred to the
       // serial evacuation phase. The old lines stay unmarked, exactly
       // as the serial collector leaves them on a successful copy.
-      MW.EvacCandidates.push_back(Target);
+      MW.EvacCandidates.push_back({candidateKey(B, Target), Target});
     } else if (Pinned && B->hasFreshFailure() &&
                overlapsFailedLine(B, Target, Size)) {
       // A pinned object on a failed line cannot move; the OS will
       // remap the page (Section 3.3.3). Deferred: the remap must
       // precede the line marking (marking a failed line is a no-op),
       // and it mutates OS/journal state serially.
-      MW.RemapCandidates.push_back(Target);
+      MW.RemapCandidates.push_back({candidateKey(B, Target), Target});
     } else if (MarkerDeferLines) {
       // Concurrent marker: line marks feed the allocators' availability
       // caches, which mutators rebuild with plain writes mid-cycle, so
@@ -542,6 +582,7 @@ void Heap::claimEdge(ObjRef Target, unsigned Wk, bool Full,
     }
   }
   WorkList.push(Wk, Target);
+  return MayMove;
 }
 
 void Heap::scanMarked(ObjRef Obj, unsigned Wk, bool Full,
@@ -549,17 +590,33 @@ void Heap::scanMarked(ObjRef Obj, unsigned Wk, bool Full,
   MarkWorker &MW = MarkWorkers[Wk];
   uint64_t Word = objectWord0Acquire(Obj);
   MW.BytesTraced += word0Size(Word);
-  MW.Scanned.push_back(Obj);
-  ObjRef *Slots = reinterpret_cast<ObjRef *>(Obj + ObjectHeaderBytes);
-  for (unsigned Slot = 0, E = word0NumRefs(Word); Slot != E; ++Slot) {
-    // Acquire pairs with writeRef's release store: a concurrent marker
-    // that loads a freshly published reference sees the referent's
-    // initialized header and slots. Free at the instruction level; in
-    // the stop-the-world phases the slots are stable anyway.
-    ObjRef Target =
-        std::atomic_ref<ObjRef>(Slots[Slot]).load(std::memory_order_acquire);
-    if (Target)
-      claimEdge(Target, Wk, Full, WorkList);
+  // An Immix nursery collection copies every young survivor, so its
+  // fixup rescans each scanned object whole; every other collection
+  // records only the slots whose referents may move.
+  bool Whole = Immix && !Full;
+  if (Whole)
+    MW.Rescan.push_back(Obj);
+  ObjRef *Slots = slotsOf(Obj);
+  unsigned NumRefs = word0NumRefs(Word);
+  // Acquire pairs with writeRef's release store: a concurrent marker
+  // that loads a freshly published reference sees the referent's
+  // initialized header and slots. Free at the instruction level; in the
+  // stop-the-world phases the slots are stable anyway.
+  auto LoadSlot = [Slots](unsigned Slot) {
+    return std::atomic_ref<ObjRef>(Slots[Slot]).load(
+        std::memory_order_acquire);
+  };
+  // Start every referent's header on its way before claiming any, so the
+  // claims' header misses overlap instead of queuing one by one. (A slot
+  // a concurrent mutator rewrites in between is simply claimed from its
+  // newer value - the SATB log holds the old one.)
+  for (unsigned Slot = 0; Slot != NumRefs; ++Slot)
+    if (ObjRef Target = LoadSlot(Slot))
+      __builtin_prefetch(Target);
+  for (unsigned Slot = 0; Slot != NumRefs; ++Slot) {
+    ObjRef Target = LoadSlot(Slot);
+    if (Target && claimEdge(Target, Wk, Full, WorkList) && !Whole)
+      MW.FixupSlots.push_back({Obj, Slot});
   }
 }
 
@@ -593,11 +650,8 @@ void Heap::openCollection(bool Full) {
     // relocation between collections forwards the logged husk, and
     // clearing only the husk would strand a set logged flag on the live
     // copy - silently disabling its write barrier for good.
-    for (ObjRef Logged : ModBuf) {
-      while (isForwarded(Logged))
-        Logged = forwardee(Logged);
-      clearObjectFlag(Logged, FlagLogged);
-    }
+    for (ObjRef Logged : ModBuf)
+      clearObjectFlag(finalCopy(Logged), FlagLogged);
     ModBuf.clear();
   } else {
     ++Stats.NurseryGcCount;
@@ -696,13 +750,23 @@ uint64_t Heap::closeCollection(bool Full, size_t Stopped,
   // evacuation, then parallel reference fixup. Any worker interleaving
   // yields the same post-collection heap state.
   WEARMEM_TRACE(PhaseBegin, 1, Stats.GcCount);
+  Clock::time_point EvacStart = Clock::now();
   evacuatePhase();
+  Clock::time_point FixupStart = Clock::now();
   WEARMEM_TRACE(PhaseEnd, 1, Stats.GcCount);
   WEARMEM_TRACE(PhaseBegin, 2, Stats.GcCount);
   fixupPhase();
+  Clock::time_point SweepStart = Clock::now();
   WEARMEM_TRACE(PhaseEnd, 2, Stats.GcCount);
 
   sweepPhase();
+  // Per-phase wall time beside gc.mark_us_total, one clock read per
+  // phase: Timing domain only.
+  WEARMEM_COUNT_TIMING_N("gc.evacuate_us_total",
+                         usBetween(EvacStart, FixupStart));
+  WEARMEM_COUNT_TIMING_N("gc.fixup_us_total",
+                         usBetween(FixupStart, SweepStart));
+  WEARMEM_COUNT_TIMING_N("gc.sweep_us_total", usSince(SweepStart));
 
   // The mutator allocators resume under the (possibly bumped) epoch.
   forEachLaneAllocator(
@@ -755,39 +819,40 @@ void Heap::evacuatePhase() {
   if (!Immix)
     return;
   // Merge the per-worker candidate lists and process them in canonical
-  // (block creation ordinal, in-block offset) order: evacuation
+  // (block creation sequence, in-block offset) order: evacuation
   // allocates, so its order determines every forwarding address. Raw
   // addresses would be just as total an order, but block grants are
   // separate host allocations whose relative placement varies between
-  // heap instances; the ordinal/offset pair depends only on the
+  // heap instances; the creation sequence and offset depend only on the
   // allocation history, which is what makes post-GC digests comparable
-  // across worker counts and across processes. A block's creation
-  // sequence number orders blocks exactly as its ordinal does, so it
-  // serves as the key directly.
-  auto CanonSort = [&](std::vector<ObjRef> &Objs) {
-    std::vector<std::tuple<uint64_t, size_t, ObjRef>> Keyed;
-    Keyed.reserve(Objs.size());
-    for (ObjRef Obj : Objs) {
-      const Block *Blk = Immix->blockOf(Obj);
-      Keyed.emplace_back(Blk->creationSeq(),
-                         static_cast<size_t>(Obj - Blk->base()), Obj);
+  // across worker counts and across processes. The claim packed both
+  // into each candidate's key, so the sort needs no block lookups: an
+  // LSD radix sort, one linear pass per key byte in use, which beats a
+  // comparison sort's n log n on the few thousand candidates of a
+  // defragmenting collection. Keys are unique, so the order is total.
+  auto Sorted = [this](std::vector<Candidate> MarkWorker::*List) {
+    std::vector<Candidate> All;
+    uint64_t KeyBits = 0;
+    for (MarkWorker &MW : MarkWorkers)
+      for (const Candidate &C : MW.*List) {
+        All.push_back(C);
+        KeyBits |= C.Key;
+      }
+    std::vector<Candidate> Pass(All.size());
+    for (unsigned Shift = 0; Shift < 64 && (KeyBits >> Shift) != 0;
+         Shift += 8) {
+      size_t Next[257] = {};
+      for (const Candidate &C : All)
+        ++Next[((C.Key >> Shift) & 0xFF) + 1];
+      std::partial_sum(std::begin(Next), std::end(Next), std::begin(Next));
+      for (const Candidate &C : All)
+        Pass[Next[(C.Key >> Shift) & 0xFF]++] = C;
+      All.swap(Pass);
     }
-    std::sort(Keyed.begin(), Keyed.end());
-    for (size_t I = 0; I != Keyed.size(); ++I)
-      Objs[I] = std::get<2>(Keyed[I]);
+    return All;
   };
-  std::vector<ObjRef> Evacs;
-  std::vector<ObjRef> Remaps;
-  for (MarkWorker &MW : MarkWorkers) {
-    Evacs.insert(Evacs.end(), MW.EvacCandidates.begin(),
-                 MW.EvacCandidates.end());
-    Remaps.insert(Remaps.end(), MW.RemapCandidates.begin(),
-                  MW.RemapCandidates.end());
-  }
-  CanonSort(Evacs);
-  CanonSort(Remaps);
-  for (ObjRef Target : Evacs) {
-    Block *B = Immix->blockOf(Target);
+  for (const Candidate &C : Sorted(&MarkWorker::EvacCandidates)) {
+    ObjRef Target = C.Obj;
     size_t Size = objectSize(Target);
     if (uint8_t *NewMem = EvacAllocator->alloc(Size)) {
 #ifdef WEARMEM_EXPENSIVE_CHECKS
@@ -811,6 +876,7 @@ void Heap::evacuatePhase() {
       WEARMEM_TRACE(Evacuation, Size, 0);
       markObjectLines(Immix->blockOf(NewMem), NewMem, Size);
     } else {
+      Block *B = Immix->blockOf(Target);
       if (B->hasFreshFailure() && overlapsFailedLine(B, Target, Size))
         // Could not evacuate an object sitting on a dynamically failed
         // line: fall back to the OS remapping the whole page.
@@ -818,50 +884,53 @@ void Heap::evacuatePhase() {
       markObjectLines(B, Target, Size);
     }
   }
-  for (ObjRef Target : Remaps) {
-    Block *B = Immix->blockOf(Target);
-    size_t Size = objectSize(Target);
+  for (const Candidate &C : Sorted(&MarkWorker::RemapCandidates)) {
+    Block *B = Immix->blockOf(C.Obj);
     ++Stats.PinnedFailurePageRemaps;
-    emergencyPageRemap(B, Target);
-    markObjectLines(B, Target, Size);
+    emergencyPageRemap(B, C.Obj);
+    markObjectLines(B, C.Obj, objectSize(C.Obj));
   }
 }
 
 void Heap::fixupPhase() {
-  // Each worker rewrites the reference slots of exactly the objects it
-  // scanned; the Scanned lists partition the scanned set, so the writes
-  // are disjoint. Headers are read-only here (forwarding was installed
-  // by the serial evacuation phase).
+  // Rewrites one slot if its current referent moved. Rechecking the
+  // value makes every record idempotent: duplicates, and records whose
+  // slot was overwritten since, are harmless.
+  auto FixSlot = [](ObjRef *Slot) {
+    ObjRef Target = *Slot;
+    if (Target && isForwarded(Target))
+      *Slot = finalCopy(Target);
+  };
+  // Each worker fixes what its own scans produced. Every object is
+  // scanned by exactly one worker (a closing cycle's births by none),
+  // so the writes are disjoint. Headers are read-only here (forwarding
+  // was installed by the serial evacuation phase).
   auto FixWorker = [&](unsigned Wk) {
-    for (ObjRef Obj : MarkWorkers[Wk].Scanned) {
-      ObjRef Final = Obj;
-      while (isForwarded(Final))
-        Final = forwardee(Final);
-      ObjRef *Slots =
-          reinterpret_cast<ObjRef *>(Final + ObjectHeaderBytes);
-      for (unsigned Slot = 0, E = objectNumRefs(Final); Slot != E;
-           ++Slot) {
-        ObjRef Target = Slots[Slot];
-        if (!Target)
-          continue;
-        ObjRef NewTarget = Target;
-        while (isForwarded(NewTarget))
-          NewTarget = forwardee(NewTarget);
-        if (NewTarget != Target)
-          Slots[Slot] = NewTarget;
-      }
+    MarkWorker &MW = MarkWorkers[Wk];
+    for (ObjRef Obj : MW.Rescan) {
+      ObjRef Final = finalCopy(Obj);
+      ObjRef *Slots = slotsOf(Final);
+      for (unsigned Slot = 0, E = objectNumRefs(Final); Slot != E; ++Slot)
+        FixSlot(Slots + Slot);
     }
+    for (const SlotRef &S : MW.FixupSlots)
+      FixSlot(slotsOf(finalCopy(S.Obj)) + S.Slot);
   };
   if (Workers)
     Workers->runOnAll(FixWorker);
   else
     FixWorker(0);
-  for (ObjRef &Root : Roots) {
-    if (!Root)
-      continue;
-    while (isForwarded(Root))
-      Root = forwardee(Root);
+  for (std::vector<SlotRef> &Lane : CycleStores) {
+    for (const SlotRef &S : Lane)
+      FixSlot(slotsOf(finalCopy(S.Obj)) + S.Slot);
+    Lane.clear();
   }
+  for (ObjRef &Root : Roots)
+    if (Root)
+      Root = finalCopy(Root);
+#ifdef WEARMEM_EXPENSIVE_CHECKS
+  verifyFixupOracle();
+#endif
 }
 
 void Heap::sweepPhase() {
@@ -1021,11 +1090,10 @@ void Heap::finishIncrementalMarkCycle() {
 
   // Objects born during the cycle were never scanned (allocate black:
   // their stores all ran through the barrier), but evacuation may move
-  // what they reference - route them through worker 0's fixup
-  // partition.
-  MarkWorkers[0].Scanned.insert(MarkWorkers[0].Scanned.end(),
-                                IncCycle->NewObjects.begin(),
-                                IncCycle->NewObjects.end());
+  // what they reference - worker 0's fixup rescans them whole.
+  MarkWorkers[0].Rescan.insert(MarkWorkers[0].Rescan.end(),
+                               IncCycle->NewObjects.begin(),
+                               IncCycle->NewObjects.end());
   IncCycle.reset();
   // SATB growth accounting: lifetime high-water marks of the sealed
   // queue and the per-lane buffers. Timing domain - they move with the
@@ -1151,8 +1219,7 @@ void Heap::verifyMarkOracle() {
   std::unordered_set<const uint8_t *> Visited;
   std::vector<ObjRef> Stack;
   auto Push = [&](ObjRef Obj) {
-    while (isForwarded(Obj))
-      Obj = forwardee(Obj);
+    Obj = finalCopy(Obj);
     if (objectMark(Obj) != Epoch) {
       std::fprintf(stderr,
                    "parallel mark missed reachable object %p\n",
@@ -1186,6 +1253,34 @@ void Heap::verifyMarkOracle() {
                    static_cast<const void *>(Obj));
       std::abort();
     }
+}
+
+void Heap::verifyFixupOracle() {
+  // Reference implementation of the recorded-slot fixup: the full rescan
+  // it replaced. Every slot of every object this collection claimed or
+  // rescanned (a nursery's scanned set, a closing cycle's births), and
+  // every root, must now name a final copy.
+  auto Check = [](ObjRef Target, const void *Where) {
+    if (Target && isForwarded(Target)) {
+      std::fprintf(stderr, "fixup missed a reference to moved %p in %p\n",
+                   static_cast<void *>(Target), Where);
+      std::abort();
+    }
+  };
+  auto CheckObject = [&](ObjRef Obj) {
+    ObjRef Final = finalCopy(Obj);
+    ObjRef *Slots = slotsOf(Final);
+    for (unsigned Slot = 0, E = objectNumRefs(Final); Slot != E; ++Slot)
+      Check(Slots[Slot], Final);
+  };
+  for (MarkWorker &MW : MarkWorkers) {
+    for (ObjRef Obj : MW.Claimed)
+      CheckObject(Obj);
+    for (ObjRef Obj : MW.Rescan)
+      CheckObject(Obj);
+  }
+  for (ObjRef Root : Roots)
+    Check(Root, &Roots);
 }
 #endif
 
@@ -1366,6 +1461,10 @@ void Heap::injectDynamicFailureOnLarge(ObjRef Obj) {
     ++Stats.PinnedFailurePageRemaps;
     return;
   }
+  // An open paced cycle's fixup rewrites only the slots its trace and
+  // barrier recorded, and a slot scanned before the husk appears is in
+  // neither, so the cycle closes first (a no-op when none is open).
+  finishIncrementalMarkCycle();
   ObjRef NewObj = Los.relocate(Obj);
   if (!NewObj) {
     collect(CollectionKind::Full);

@@ -204,8 +204,14 @@ public:
   ///     creation ordinal, in-block offset), and copied in that
   ///     canonical order, so forwarding addresses depend neither on
   ///     trace order nor on where the host placed the blocks;
-  ///  3. parallel fixup - each worker rewrites the reference slots of
-  ///     the objects it scanned (disjoint sets), then roots serially.
+  ///  3. parallel fixup - proportional to what may have moved: each
+  ///     worker rewrites the slots its scans recorded as naming an
+  ///     object in an evacuating block (or an already forwarded one),
+  ///     rechecking each slot's current value. Every object is scanned
+  ///     by one worker, so the writes are disjoint. An Immix nursery
+  ///     collection copies every young survivor and so rescans its
+  ///     scanned objects whole instead. A paced cycle's barrier-recorded
+  ///     stores and the roots follow serially.
 
   /// Reconfigures the GC worker pool; 1 collects inline with no
   /// threads. Must not be called during a collection.
@@ -383,13 +389,33 @@ public:
 private:
   friend class HeapAuditor;
 
-  /// Per-worker mark-phase scratch: private counters plus the scanned /
-  /// evacuation-candidate / pinned-remap-candidate lists, merged (in
-  /// worker order) or processed (address-sorted) after the phase.
+  /// A reference slot, named by the object holding it and the slot's
+  /// index: the fixup reaches it through the object's final copy.
+  struct SlotRef {
+    ObjRef Obj;
+    unsigned Slot;
+  };
+  /// An evacuation or pinned-remap candidate with its canonical sort key,
+  /// (block creation sequence << log2(BlockSize)) | offset in the block,
+  /// packed at the claim while the block is at hand.
+  struct Candidate {
+    uint64_t Key;
+    ObjRef Obj;
+  };
+
+  /// Per-worker mark-phase scratch: private counters plus the fixup and
+  /// candidate lists, merged (in worker order) or processed (in canonical
+  /// order) after the phase.
   struct MarkWorker {
-    std::vector<ObjRef> Scanned;
-    std::vector<ObjRef> EvacCandidates;
-    std::vector<ObjRef> RemapCandidates;
+    /// Slots this worker's scans found naming an object that may move:
+    /// one in an evacuating block, or one already forwarded when read.
+    std::vector<SlotRef> FixupSlots;
+    /// Objects whose every slot the fixup rewrites: an Immix nursery
+    /// collection's scanned set (it copies every young survivor) and, on
+    /// worker 0, a closing cycle's births.
+    std::vector<ObjRef> Rescan;
+    std::vector<Candidate> EvacCandidates;
+    std::vector<Candidate> RemapCandidates;
     /// Concurrent mode: non-candidate claims whose line marking is
     /// deferred to the closing pause. Mid-cycle line marks would race
     /// the mutator allocators' lazily rebuilt availability caches;
@@ -428,14 +454,26 @@ private:
   /// Claims \p Target for the trace (chasing forwarding, CAS-marking,
   /// recording evacuation/remap candidacy) and queues it for scanning.
   /// Shared by the stop-the-world mark phase and the incremental steps.
-  void claimEdge(ObjRef Target, unsigned Wk, bool Full,
+  /// Returns true if a slot holding \p Target may need a fixup: the
+  /// target was forwarded or, in a full collection, lies in an
+  /// evacuating block - whether or not this call won the claim.
+  bool claimEdge(ObjRef Target, unsigned Wk, bool Full,
                  MarkWorkList &WorkList);
-  /// Scans a claimed object's reference slots through claimEdge.
+  /// Scans a claimed object's reference slots through claimEdge,
+  /// recording its fixup work on worker \p Wk.
   void scanMarked(ObjRef Obj, unsigned Wk, bool Full,
                   MarkWorkList &WorkList);
+  /// The canonical evacuation-order key of \p Obj in \p B.
+  uint64_t candidateKey(const Block *B, const uint8_t *Obj) const {
+    return (B->creationSeq() << BlockShift) |
+           static_cast<uint64_t>(Obj - B->base());
+  }
   void drainDeferredFailures();
 #ifdef WEARMEM_EXPENSIVE_CHECKS
   void verifyMarkOracle();
+  /// Aborts if the fixup left a slot naming a forwarded object in any
+  /// object the collection claimed or rescanned, or in a root.
+  void verifyFixupOracle();
 #endif
   /// Marks the lines \p Obj covers in \p B, the block containing it.
   void markObjectLines(Block *B, ObjRef Obj, size_t Size);
@@ -445,6 +483,8 @@ private:
   void remapMarksOnWrap(uint8_t Prev);
 
   HeapConfig Config;
+  /// log2(Config.BlockSize): in-block offsets fit below this bit.
+  unsigned BlockShift;
   HeapStats Stats;
   FailureAwareOs Os_;
   MetadataJournal *Journal = nullptr;
@@ -475,14 +515,21 @@ private:
   /// State of the open paced mark cycle (null = no cycle open).
   struct IncrementalCycle {
     /// Objects allocated black during the cycle: never scanned (their
-    /// fields were written through the barrier), but routed through the
-    /// closing fixup so evacuations rewrite their slots.
+    /// fields were written through the barrier), so the close rescans
+    /// them whole in worker 0's fixup partition.
     std::vector<ObjRef> NewObjects;
   };
   std::unique_ptr<IncrementalCycle> IncCycle;
   /// SATB deletion log, fed by writeRef/setRoot while IncCycle is open
   /// (per-lane buffers; the active lane's thread is the only pusher).
   SatbLog Satb;
+  /// The fixup barrier's log, one buffer per lane like the SATB log:
+  /// while a cycle is open, writeRef records each store of a reference
+  /// into an evacuating block, because the trace may already have
+  /// scanned the object stored into. These slots may coincide with ones
+  /// a worker recorded, so the closing fixup applies them serially after
+  /// its parallel pass.
+  std::vector<std::vector<SlotRef>> CycleStores;
   /// The dedicated marker thread (Config.ConcurrentMark; created lazily
   /// on the first concurrent cycle, joined by ~Heap).
   std::unique_ptr<ConcurrentMarker> Marker;

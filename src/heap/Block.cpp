@@ -23,6 +23,7 @@
 #include <cassert>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 
 using namespace wearmem;
 
@@ -277,6 +278,27 @@ Block::SweepResult Block::sweepCount(uint8_t Epoch,
   }
   Result.Empty = !AnyLive;
   return Result;
+}
+
+unsigned Block::countLinesMarked(uint8_t Value) const {
+  constexpr uint64_t Low7 = 0x7F7F7F7F7F7F7F7FULL;
+  const uint64_t Pattern = 0x0101010101010101ULL * Value;
+  const uint8_t *Marks = LineMarks.data();
+  size_t NumLines = LineMarks.size();
+  unsigned Count = 0;
+  size_t Line = 0;
+  for (; Line + 8 <= NumLines; Line += 8) {
+    uint64_t Word;
+    std::memcpy(&Word, Marks + Line, sizeof(Word));
+    Word ^= Pattern;
+    // Bit 7 of each byte ends up set exactly where the byte is zero (a
+    // matching mark); the per-byte add cannot carry across bytes.
+    Count += static_cast<unsigned>(
+        std::popcount(~(((Word & Low7) + Low7) | Word | Low7)));
+  }
+  for (; Line != NumLines; ++Line)
+    Count += Marks[Line] == Value;
+  return Count;
 }
 
 Block::SweepResult Block::sweepCountOracle(uint8_t Epoch,

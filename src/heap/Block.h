@@ -132,6 +132,10 @@ public:
     return LineMarks[Line] == LineFailed;
   }
 
+  /// The number of lines whose mark byte equals \p Value (fault
+  /// campaigns census live lines with it), eight marks per step.
+  unsigned countLinesMarked(uint8_t Value) const;
+
   /// Permanently retires a line (static intake or dynamic failure).
   void failLine(unsigned Line) {
     if (LineMarks[Line] != LineFailed) {

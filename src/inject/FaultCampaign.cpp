@@ -13,7 +13,9 @@
 #include "pcm/PcmDevice.h"
 
 #include <algorithm>
+#include <cassert>
 #include <cctype>
+#include <unordered_map>
 
 using namespace wearmem;
 
@@ -252,6 +254,34 @@ FaultCampaign::parseSchedule(const std::string &Text, std::string *Error) {
 // Engine
 //===----------------------------------------------------------------------===//
 
+namespace {
+
+/// The non-retired blocks holding lines marked live at \p Epoch, in block
+/// order, each with its live-line count: the census the heap shapes
+/// sample from.
+std::vector<std::pair<Block *, unsigned>> occupiedBlocks(ImmixSpace &Space,
+                                                         uint8_t Epoch) {
+  std::vector<std::pair<Block *, unsigned>> Occupied;
+  Space.forEachBlock([&](Block &B) {
+    if (B.state() == BlockState::Retired)
+      return;
+    if (unsigned Count = B.countLinesMarked(Epoch))
+      Occupied.emplace_back(&B, Count);
+  });
+  return Occupied;
+}
+
+/// The line index of \p B's \p Rank-th line marked live at \p Epoch.
+unsigned nthLiveLine(const Block &B, uint8_t Epoch, size_t Rank) {
+  for (unsigned Line = 0;; ++Line) {
+    assert(Line < B.lineCount() && "rank beyond the block's live lines");
+    if (B.lineMark(Line) == Epoch && Rank-- == 0)
+      return Line;
+  }
+}
+
+} // namespace
+
 FaultCampaign::FaultCampaign(std::vector<FaultTrigger> Triggers,
                              uint64_t Seed)
     : Rand(Seed) {
@@ -366,20 +396,35 @@ void FaultCampaign::fireHeap(const FaultTrigger &T) {
 
   switch (T.Shape) {
   case FaultShape::Drip: {
-    // Wear strikes written (live) lines; sample across the whole heap.
-    std::vector<std::pair<Block *, unsigned>> Live;
-    Space->forEachBlock([&](Block &B) {
-      if (B.state() == BlockState::Retired)
-        return;
-      for (unsigned Line = 0; Line != B.lineCount(); ++Line)
-        if (B.lineMark(Line) == Epoch)
-          Live.emplace_back(&B, Line);
-    });
-    size_t Want = std::min<size_t>(T.Lines, Live.size());
+    // Wear strikes written (live) lines, sampled uniformly across the
+    // whole heap: a partial Fisher-Yates shuffle of the (block, line)
+    // pairs in block-then-line order. The list stays implicit - only
+    // per-block counts exist, the positions the shuffle displaced sit in
+    // a small map, and only the picked lines are located - so a firing
+    // costs one count pass, not a heap-wide list, while making the same
+    // draws and picking the same victims in the same order.
+    std::vector<std::pair<Block *, unsigned>> Occupied =
+        occupiedBlocks(*Space, Epoch);
+    std::vector<size_t> Ends; // Cumulative live-line counts.
+    Ends.reserve(Occupied.size());
+    size_t Live = 0;
+    for (const auto &[B, Count] : Occupied)
+      Ends.push_back(Live += Count);
+    size_t Want = std::min<size_t>(T.Lines, Live);
+    std::unordered_map<size_t, size_t> Displaced;
+    auto valueAt = [&](size_t Pos) {
+      auto It = Displaced.find(Pos);
+      return It == Displaced.end() ? Pos : It->second;
+    };
     for (size_t I = 0; I != Want; ++I) {
-      size_t J = I + Rand.nextBelow(Live.size() - I);
-      std::swap(Live[I], Live[J]);
-      Addrs.push_back(pcmLineWithin(*Live[I].first, Live[I].second));
+      size_t J = I + Rand.nextBelow(Live - I);
+      size_t Pick = valueAt(J);
+      Displaced[J] = valueAt(I);
+      size_t K = static_cast<size_t>(
+          std::upper_bound(Ends.begin(), Ends.end(), Pick) - Ends.begin());
+      size_t Rank = Pick - (K == 0 ? 0 : Ends[K - 1]);
+      Block &B = *Occupied[K].first;
+      Addrs.push_back(pcmLineWithin(B, nthLiveLine(B, Epoch, Rank)));
     }
     break;
   }
@@ -406,32 +451,27 @@ void FaultCampaign::fireHeap(const FaultTrigger &T) {
       }
       break;
     }
-    // A correlated burst into one block - the hottest (most live lines)
-    // when Hot, else a random occupied one.
-    std::vector<std::pair<Block *, std::vector<unsigned>>> Occupied;
-    Space->forEachBlock([&](Block &B) {
-      if (B.state() == BlockState::Retired)
-        return;
-      std::vector<unsigned> LiveLines;
-      for (unsigned Line = 0; Line != B.lineCount(); ++Line)
-        if (B.lineMark(Line) == Epoch)
-          LiveLines.push_back(Line);
-      if (!LiveLines.empty())
-        Occupied.emplace_back(&B, std::move(LiveLines));
-    });
+    // A correlated burst into one block - the hottest (first with the
+    // most live lines) when Hot, else a random occupied one. Only the
+    // struck block's live lines are listed.
+    std::vector<std::pair<Block *, unsigned>> Occupied =
+        occupiedBlocks(*Space, Epoch);
     if (Occupied.empty())
       break;
     size_t Target = 0;
     if (T.Hot) {
       for (size_t I = 1; I != Occupied.size(); ++I)
-        if (Occupied[I].second.size() >
-            Occupied[Target].second.size())
+        if (Occupied[I].second > Occupied[Target].second)
           Target = I;
     } else {
       Target = Rand.nextBelow(Occupied.size());
     }
     Block &B = *Occupied[Target].first;
-    std::vector<unsigned> &LiveLines = Occupied[Target].second;
+    std::vector<unsigned> LiveLines;
+    LiveLines.reserve(Occupied[Target].second);
+    for (unsigned Line = 0; Line != B.lineCount(); ++Line)
+      if (B.lineMark(Line) == Epoch)
+        LiveLines.push_back(Line);
     size_t Want = std::min<size_t>(T.Lines, LiveLines.size());
     for (size_t I = 0; I != Want; ++I) {
       size_t J = I + Rand.nextBelow(LiveLines.size() - I);

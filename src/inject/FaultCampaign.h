@@ -119,6 +119,9 @@ public:
   /// Every line failed through the heap so far, in injection order.
   const std::vector<FaultEvent> &trace() const { return Trace; }
 
+  /// The victim-sampling stream (tests copy it to compare next draws).
+  const Rng &rng() const { return Rand; }
+
   /// The current value of \p Clock (diagnostics; also used by the soak
   /// harness for survival-curve x-coordinates).
   uint64_t clockNow(TriggerClock Clock) const;

@@ -13,6 +13,8 @@
 #include "support/Random.h"
 
 #include <cassert>
+#include <cstdio>
+#include <cstdlib>
 #include <cstring>
 
 using namespace wearmem;
@@ -68,7 +70,13 @@ uint8_t *FailureAwareOs::mapHostPages(size_t NumPages) {
   size_t Bytes = alignUp(NumPages * PcmPageSize, GrantAlignment);
   uint8_t *Raw =
       static_cast<uint8_t *>(std::aligned_alloc(GrantAlignment, Bytes));
-  assert(Raw && "host allocation failed");
+  if (!Raw) {
+    // Checked in every build: zeroing through a null grant would turn an
+    // out-of-memory host into silent heap corruption.
+    std::fprintf(stderr, "wearmem: cannot map %zu bytes of host pages\n",
+                 Bytes);
+    std::abort();
+  }
   std::memset(Raw, 0, Bytes);
   Backing.emplace_back(Raw);
   return Raw;

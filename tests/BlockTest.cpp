@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <iterator>
 #include <memory>
 
 using namespace wearmem;
@@ -60,6 +61,31 @@ TEST(BlockTest, FailureWordIntakeExpandsToImmixLines) {
   EXPECT_EQ(G.TheBlock->failedLines(), 2u);
   EXPECT_TRUE(G.TheBlock->lineIsFailed(0));
   EXPECT_TRUE(G.TheBlock->lineIsFailed(2 * 64 + 17));
+}
+
+TEST(BlockTest, CountLinesMarkedMatchesAByteScan) {
+  // The census compares eight mark bytes per step. Every value - free,
+  // live epochs with and without the high bit, the failed sentinel -
+  // must count exactly as a byte-at-a-time scan does.
+  const uint8_t Values[] = {0, 1, 2, 0x7F, 0x80, 0x81, MaxEpoch, LineFailed};
+  for (size_t LineSize : {64u, 256u}) {
+    BlockFixture F(LineSize);
+    Block &B = *F.TheBlock;
+    for (unsigned Line = 0; Line != B.lineCount(); ++Line) {
+      uint8_t V = Values[(Line * 7 + Line / 5) % std::size(Values)];
+      if (V == LineFailed)
+        B.failLine(Line);
+      else
+        B.markLine(Line, V);
+    }
+    for (unsigned V = 0; V != 256; ++V) {
+      unsigned Expected = 0;
+      for (unsigned Line = 0; Line != B.lineCount(); ++Line)
+        Expected += B.lineMark(Line) == V;
+      EXPECT_EQ(B.countLinesMarked(static_cast<uint8_t>(V)), Expected)
+          << "value " << V << ", " << LineSize << " B lines";
+    }
+  }
 }
 
 TEST(BlockTest, FindHoleSkipsLiveAndFailed) {

@@ -26,7 +26,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstring>
+#include <thread>
 #include <vector>
 
 using namespace wearmem;
@@ -244,6 +246,40 @@ void expectMarkingLegsEqual(const LegResult &A, const LegResult &B,
   expectCrossModeEqual(A, B, What);
   EXPECT_EQ(A.SatbLogged, B.SatbLogged) << What;
   EXPECT_EQ(A.SatbDrained, B.SatbDrained) << What;
+}
+
+/// Objects for the fixup-barrier test: A (one slot, naming C) and C
+/// share a block; V sits at the start of the next one, whose last line
+/// fails before the cycle opens, so V's block - and only V's - is an
+/// evacuation candidate of the cycle.
+struct BarrierFixture {
+  ObjRef A = nullptr;
+  ObjRef C = nullptr;
+  ObjRef V = nullptr;
+  unsigned RootA = 0;
+  unsigned RootV = 0;
+};
+
+BarrierFixture buildBarrierFixture(Heap &Hp) {
+  ImmixSpace &Space = *Hp.immixSpace();
+  BarrierFixture F;
+  F.A = Hp.allocate(/*PayloadBytes=*/16, /*NumRefs=*/1);
+  F.C = Hp.allocate(/*PayloadBytes=*/16, /*NumRefs=*/0);
+  if (!F.A || !F.C)
+    return F;
+  Hp.writeRef(F.A, 0, F.C);
+  F.RootA = Hp.createRoot(F.A);
+  // Unrooted filler runs A's block out, so V starts a block of its own.
+  do
+    F.V = Hp.allocate(/*PayloadBytes=*/48, /*NumRefs=*/0);
+  while (F.V && Space.blockOf(F.V) == Space.blockOf(F.A));
+  if (!F.V)
+    return F;
+  *reinterpret_cast<uint64_t *>(objectPayload(F.V)) = 0xF1C5ull;
+  F.RootV = Hp.createRoot(F.V);
+  Block *VBlock = Space.blockOf(F.V);
+  Hp.injectDynamicFailureBatch({VBlock->lineAddr(VBlock->lineCount() - 1)});
+  return F;
 }
 
 } // namespace
@@ -501,4 +537,43 @@ TEST(ConcurrentMarkTest, FlushHandshakeStormIsWatchdogClean) {
   for (const std::string &V : Report.Violations)
     ADD_FAILURE() << "audit violation: " << V;
   EXPECT_TRUE(Report.passed());
+}
+
+//===----------------------------------------------------------------------===//
+// Fixup of stores made while the marker runs
+//===----------------------------------------------------------------------===//
+
+TEST(ConcurrentMarkTest, StoreIntoScannedObjectFollowsEvacuation) {
+  // The closing fixup rewrites only the slots the trace and the write
+  // barrier recorded. The marker claims C while scanning A's one slot -
+  // after its last read of that slot - and only then does the mutator
+  // store into the slot a reference to V, which the close evacuates.
+  // Nothing rescans A, so the barrier's record alone can point the slot
+  // at V's copy.
+  HeapConfig Config = markConfig(Mode::Concurrent, /*GcThreads=*/2);
+  Config.Failures.Rate = 0.0; // Fresh blocks: the layout is deterministic.
+  Heap Hp(Config);
+  BarrierFixture F = buildBarrierFixture(Hp);
+  ASSERT_NE(F.V, nullptr);
+  ImmixSpace &Space = *Hp.immixSpace();
+
+  ASSERT_TRUE(Hp.beginIncrementalMarkCycle());
+  ASSERT_TRUE(Space.blockOf(F.V)->evacuating());
+  ASSERT_FALSE(Space.blockOf(F.A)->evacuating());
+  auto Deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (objectMark(F.C) != Hp.epoch()) {
+    ASSERT_LT(std::chrono::steady_clock::now(), Deadline)
+        << "the marker never scanned A";
+    std::this_thread::yield();
+  }
+  Hp.writeRef(F.A, 0, F.V);
+  Hp.finishIncrementalMarkCycle();
+
+  ObjRef VCopy = Hp.root(F.RootV);
+  ASSERT_NE(VCopy, F.V) << "V's block was evacuating; V must have moved";
+  ASSERT_EQ(Hp.root(F.RootA), F.A) << "A's block was not evacuating";
+  ASSERT_EQ(Heap::readRef(F.A, 0), VCopy)
+      << "the stored slot still names V's old copy";
+  EXPECT_EQ(*reinterpret_cast<uint64_t *>(objectPayload(VCopy)), 0xF1C5ull);
+  Hp.verifyIntegrity();
 }

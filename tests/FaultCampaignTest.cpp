@@ -12,7 +12,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <string>
 
 using namespace wearmem;
 
@@ -50,6 +52,66 @@ std::vector<std::pair<size_t, unsigned>> failedLineSet(Runtime &Rt) {
     ++Ordinal;
   });
   return Out;
+}
+
+/// The drip and storm samplers as the engine first wrote them: list every
+/// live (block, line) pair - or every occupied block's live lines - then
+/// partially shuffle the list. Kept as the reference the engine's
+/// count-then-pick samplers must reproduce draw for draw.
+std::vector<uint8_t *> referenceSample(ImmixSpace &Space, uint8_t Epoch,
+                                       const FaultTrigger &T, Rng &Rand) {
+  std::vector<uint8_t *> Addrs;
+  auto pcmLineWithin = [&](Block &B, unsigned Line) -> uint8_t * {
+    size_t PerLine = std::max<size_t>(1, B.lineSize() / PcmLineSize);
+    return B.lineAddr(Line) + Rand.nextBelow(PerLine) * PcmLineSize;
+  };
+  if (T.Shape == FaultShape::Drip) {
+    std::vector<std::pair<Block *, unsigned>> Live;
+    Space.forEachBlock([&](Block &B) {
+      if (B.state() == BlockState::Retired)
+        return;
+      for (unsigned Line = 0; Line != B.lineCount(); ++Line)
+        if (B.lineMark(Line) == Epoch)
+          Live.emplace_back(&B, Line);
+    });
+    size_t Want = std::min<size_t>(T.Lines, Live.size());
+    for (size_t I = 0; I != Want; ++I) {
+      size_t J = I + Rand.nextBelow(Live.size() - I);
+      std::swap(Live[I], Live[J]);
+      Addrs.push_back(pcmLineWithin(*Live[I].first, Live[I].second));
+    }
+    return Addrs;
+  }
+  std::vector<std::pair<Block *, std::vector<unsigned>>> Occupied;
+  Space.forEachBlock([&](Block &B) {
+    if (B.state() == BlockState::Retired)
+      return;
+    std::vector<unsigned> LiveLines;
+    for (unsigned Line = 0; Line != B.lineCount(); ++Line)
+      if (B.lineMark(Line) == Epoch)
+        LiveLines.push_back(Line);
+    if (!LiveLines.empty())
+      Occupied.emplace_back(&B, std::move(LiveLines));
+  });
+  if (Occupied.empty())
+    return Addrs;
+  size_t Target = 0;
+  if (T.Hot) {
+    for (size_t I = 1; I != Occupied.size(); ++I)
+      if (Occupied[I].second.size() > Occupied[Target].second.size())
+        Target = I;
+  } else {
+    Target = Rand.nextBelow(Occupied.size());
+  }
+  Block &B = *Occupied[Target].first;
+  std::vector<unsigned> &LiveLines = Occupied[Target].second;
+  size_t Want = std::min<size_t>(T.Lines, LiveLines.size());
+  for (size_t I = 0; I != Want; ++I) {
+    size_t J = I + Rand.nextBelow(LiveLines.size() - I);
+    std::swap(LiveLines[I], LiveLines[J]);
+    Addrs.push_back(pcmLineWithin(B, LiveLines[I]));
+  }
+  return Addrs;
 }
 
 } // namespace
@@ -146,6 +208,64 @@ TEST(FaultCampaignTest, DripIsDeterministicForAFixedSeed) {
               CampaignB.trace()[I].ByteOffset);
   }
   EXPECT_EQ(failedLineSet(RtA), failedLineSet(RtB));
+}
+
+TEST(FaultCampaignTest, SamplersPickTheReferenceVictims) {
+  // The engine counts live lines and locates only the picks; the
+  // reference lists every candidate first. Same heap, same stream: each
+  // firing must strike the same addresses in the same order and leave
+  // the RNG at the same point. Collections and churn between firings
+  // vary the census the next firing samples. The small heap's drip wants
+  // nearly every live line, so the shuffle revisits displaced positions.
+  struct Case {
+    const char *Schedule;
+    size_t LiveBytes;
+  };
+  for (Case C : {Case{"drip@gc:1+1:lines=8", MiB},
+                 Case{"drip@gc:1+1:lines=24", 2 * KiB},
+                 Case{"storm@gc:1+1:lines=12,hot", MiB},
+                 Case{"storm@gc:1+1:lines=12", MiB}}) {
+    const char *Text = C.Schedule;
+    auto Triggers = FaultCampaign::parseSchedule(Text);
+    ASSERT_TRUE(Triggers.has_value());
+    for (uint64_t Seed : {1u, 7u, 99u, 2024u}) {
+      Runtime Rt(testConfig());
+      FaultCampaign Campaign(*Triggers, Seed);
+      Campaign.attachRuntime(Rt);
+      std::vector<Handle> Roots = populate(Rt, C.LiveBytes);
+      for (unsigned Firing = 0; Firing != 4; ++Firing) {
+        SCOPED_TRACE(std::string(Text) + " seed " + std::to_string(Seed) +
+                     " firing " + std::to_string(Firing));
+        ImmixSpace &Space = *Rt.heap().immixSpace();
+        Rng Reference = Campaign.rng();
+        std::vector<std::pair<uint32_t, uint32_t>> Expected;
+        for (uint8_t *Addr : referenceSample(Space, Rt.heap().epoch(),
+                                             (*Triggers)[0], Reference)) {
+          Block *B = Space.blockOf(Addr);
+          Expected.emplace_back(
+              static_cast<uint32_t>(Space.ordinalOf(*B)),
+              static_cast<uint32_t>(Addr - B->base()));
+        }
+        ASSERT_FALSE(Expected.empty());
+        size_t Before = Campaign.trace().size();
+        ASSERT_TRUE(Campaign.pump());
+        std::vector<std::pair<uint32_t, uint32_t>> Struck;
+        for (size_t I = Before; I != Campaign.trace().size(); ++I)
+          Struck.emplace_back(Campaign.trace()[I].BlockOrdinal,
+                              Campaign.trace()[I].ByteOffset);
+        EXPECT_EQ(Struck, Expected);
+        Rng After = Campaign.rng();
+        EXPECT_EQ(After.next(), Reference.next());
+        // Drop every seventh root, root new objects in the holes, and
+        // advance the gc clock to the next firing.
+        for (size_t I = Firing; I < Roots.size(); I += 7)
+          Roots[I] = Handle();
+        for (size_t I = 0; I != C.LiveBytes / KiB; ++I)
+          Roots.push_back(Rt.allocateRooted(48 + 16 * (I % 5), 2));
+        Rt.collect(true);
+      }
+    }
+  }
 }
 
 TEST(FaultCampaignTest, StormDefersRecoveryUntilNextCollection) {

@@ -176,6 +176,30 @@ TEST_P(CollectorTest, ManyFullCollectionsSurviveEpochWrap) {
   Rt.heap().verifyIntegrity();
 }
 
+TEST_P(CollectorTest, FieldFollowsRelocatedLargeObject) {
+  // The fixup rewrites only slots the trace recorded as naming an object
+  // that may move. A relocated large object is a forwarded husk when the
+  // trace reads the slot, and the holder's field - not a root - is the
+  // only way to reach it.
+  Runtime Rt(baseConfig(GetParam()));
+  Handle Holder = Rt.allocateRooted(8, 1);
+  ASSERT_NE(Holder.get(), nullptr);
+  ObjRef Large = Rt.allocate(8 * KiB, 0);
+  ASSERT_NE(Large, nullptr);
+  ASSERT_TRUE(objectHasFlag(Large, FlagLarge));
+  payloadWord(Large) = 0x1A26E;
+  Rt.writeRef(Holder.get(), 0, Large);
+  Rt.collect(true); // Holder and Large are old for the sticky collectors.
+
+  Rt.heap().injectDynamicFailureOnLarge(Runtime::readRef(Holder.get(), 0));
+  ObjRef After = Runtime::readRef(Holder.get(), 0);
+  ASSERT_NE(After, nullptr);
+  EXPECT_NE(After, Large) << "a movable large object must relocate";
+  EXPECT_FALSE(isForwarded(After)) << "the field still names the husk";
+  EXPECT_EQ(payloadWord(After), 0x1A26Eu);
+  Rt.heap().verifyIntegrity();
+}
+
 INSTANTIATE_TEST_SUITE_P(
     AllCollectors, CollectorTest,
     ::testing::Values(CollectorKind::MarkSweep, CollectorKind::Immix,

@@ -228,6 +228,40 @@ void expectIncLegsEqual(const LegResult &A, const LegResult &B,
   EXPECT_EQ(A.FullGcCount, B.FullGcCount) << What;
 }
 
+/// Objects for the fixup-barrier test: A (one slot, naming C) and C
+/// share a block; V sits at the start of the next one, whose last line
+/// fails before the cycle opens, so V's block - and only V's - is an
+/// evacuation candidate of the cycle.
+struct BarrierFixture {
+  ObjRef A = nullptr;
+  ObjRef C = nullptr;
+  ObjRef V = nullptr;
+  unsigned RootA = 0;
+  unsigned RootV = 0;
+};
+
+BarrierFixture buildBarrierFixture(Heap &Hp) {
+  ImmixSpace &Space = *Hp.immixSpace();
+  BarrierFixture F;
+  F.A = Hp.allocate(/*PayloadBytes=*/16, /*NumRefs=*/1);
+  F.C = Hp.allocate(/*PayloadBytes=*/16, /*NumRefs=*/0);
+  if (!F.A || !F.C)
+    return F;
+  Hp.writeRef(F.A, 0, F.C);
+  F.RootA = Hp.createRoot(F.A);
+  // Unrooted filler runs A's block out, so V starts a block of its own.
+  do
+    F.V = Hp.allocate(/*PayloadBytes=*/48, /*NumRefs=*/0);
+  while (F.V && Space.blockOf(F.V) == Space.blockOf(F.A));
+  if (!F.V)
+    return F;
+  *reinterpret_cast<uint64_t *>(objectPayload(F.V)) = 0xF1C5ull;
+  F.RootV = Hp.createRoot(F.V);
+  Block *VBlock = Space.blockOf(F.V);
+  Hp.injectDynamicFailureBatch({VBlock->lineAddr(VBlock->lineCount() - 1)});
+  return F;
+}
+
 } // namespace
 
 //===----------------------------------------------------------------------===//
@@ -407,4 +441,38 @@ TEST(IncrementalMarkTest, DrainedFailureOnStaleLineKeepsSuccessorLive) {
   Hp.collect(CollectionKind::Full);
   EXPECT_TRUE(HeapAuditor(Hp).audit().passed());
   EXPECT_NE(Hp.root(RootB), nullptr);
+}
+
+//===----------------------------------------------------------------------===//
+// Fixup of stores made while the cycle is open
+//===----------------------------------------------------------------------===//
+
+TEST(IncrementalMarkTest, StoreIntoScannedObjectFollowsEvacuation) {
+  // The closing fixup rewrites only the slots the trace and the write
+  // barrier recorded. Here the trace scans A while its slot names C,
+  // which stays put; only then does the mutator store into that slot a
+  // reference to V, which the close evacuates. Nothing rescans A, so the
+  // barrier's record alone can point the slot at V's copy.
+  HeapConfig Config = incConfig(/*GcThreads=*/2, /*Incremental=*/true);
+  Config.Failures.Rate = 0.0; // Fresh blocks: the layout is deterministic.
+  Heap Hp(Config);
+  BarrierFixture F = buildBarrierFixture(Hp);
+  ASSERT_NE(F.V, nullptr);
+  ImmixSpace &Space = *Hp.immixSpace();
+
+  ASSERT_TRUE(Hp.beginIncrementalMarkCycle());
+  ASSERT_TRUE(Space.blockOf(F.V)->evacuating());
+  ASSERT_FALSE(Space.blockOf(F.A)->evacuating());
+  while (Hp.incrementalMarkStep())
+    ; // A is scanned.
+  Hp.writeRef(F.A, 0, F.V);
+  Hp.finishIncrementalMarkCycle();
+
+  ObjRef VCopy = Hp.root(F.RootV);
+  ASSERT_NE(VCopy, F.V) << "V's block was evacuating; V must have moved";
+  ASSERT_EQ(Hp.root(F.RootA), F.A) << "A's block was not evacuating";
+  ASSERT_EQ(Heap::readRef(F.A, 0), VCopy)
+      << "the stored slot still names V's old copy";
+  EXPECT_EQ(*reinterpret_cast<uint64_t *>(objectPayload(VCopy)), 0xF1C5ull);
+  Hp.verifyIntegrity();
 }

@@ -327,6 +327,7 @@ TEST_F(ObsTest, GcPauseAccountingStaysInTheTimingDomain) {
   for (const char *Name :
        {"gc.pause_us_total", "gc.pause_full_us_total",
         "gc.pause_nursery_us_total", "gc.mark_us_total",
+        "gc.evacuate_us_total", "gc.fixup_us_total", "gc.sweep_us_total",
         "gc.inc.open_us_total", "gc.inc.step_us_total",
         "gc.inc.close_us_total", "gc.inc.mark_steps"})
     EXPECT_NE(Timing.find(Name), std::string::npos) << Name;
