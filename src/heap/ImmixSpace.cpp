@@ -108,8 +108,8 @@ bool ImmixAllocator::installHole(Block *B, const Hole &H, uint8_t *&OutCur,
                                  uint8_t *&OutLim) {
   OutCur = B->lineAddr(H.StartLine);
   OutLim = B->lineAddr(H.EndLine);
-  // Recycled holes contain dead objects; zero on acquisition (fresh OS
-  // memory arrives zeroed, re-zeroing it is harmless and uniform).
+  // Zero on acquisition: recycled holes contain dead objects, and OS
+  // grants arrive unzeroed (their host memory may be an earlier runtime's).
   std::memset(OutCur, 0, static_cast<size_t>(OutLim - OutCur));
   return true;
 }

@@ -15,9 +15,93 @@
 #include <cassert>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
+#include <mutex>
+
+#include <sanitizer/asan_interface.h>
+#include <sys/mman.h>
 
 using namespace wearmem;
+
+//===----------------------------------------------------------------------===//
+// Host memory
+//===----------------------------------------------------------------------===//
+
+/// True under AddressSanitizer, where every grant is followed by a poisoned
+/// gap of one grant alignment: a write past its end then reports instead of
+/// landing in the next grant carved from the same chunk.
+#if __has_feature(address_sanitizer) || defined(__SANITIZE_ADDRESS__)
+static constexpr bool GrantGuards = true;
+#else
+static constexpr bool GrantGuards = false;
+#endif
+
+/// Maps \p Bytes of anonymous memory at an \p Alignment boundary: maps
+/// \p Alignment bytes more and unmaps the slack on either side. Pages cost
+/// resident memory only once written.
+static uint8_t *mapAligned(size_t Bytes, size_t Alignment) {
+  size_t Padded = Bytes + Alignment;
+  void *Raw = mmap(nullptr, Padded, PROT_READ | PROT_WRITE,
+                   MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
+  if (Raw == MAP_FAILED) {
+    // Checked in every build: handing out a failed mapping would turn an
+    // out-of-memory host into silent heap corruption.
+    std::fprintf(stderr, "wearmem: cannot map %zu bytes of host pages\n",
+                 Padded);
+    std::abort();
+  }
+  auto *Base = static_cast<uint8_t *>(Raw);
+  auto *Mem = reinterpret_cast<uint8_t *>(
+      alignUp(reinterpret_cast<uintptr_t>(Base), Alignment));
+  size_t Head = static_cast<size_t>(Mem - Base);
+  if (Head != 0)
+    munmap(Base, Head);
+  munmap(Mem + Bytes, Padded - Head - Bytes);
+  return Mem;
+}
+
+namespace {
+/// The process-wide pool of PoolChunkBytes host chunks, each aligned to
+/// its size so it serves any grant alignment up to a chunk. Chunks come
+/// back when their OS model is destroyed and go out again last-in
+/// first-out, so the next runtime reuses resident memory instead of
+/// faulting fresh pages in. The pool never shrinks: resident memory stays
+/// at the most chunks held at once. A pooled chunk is poisoned for
+/// AddressSanitizer until carved.
+class ChunkPool {
+public:
+  uint8_t *take() {
+    {
+      std::lock_guard<std::mutex> Lock(Mu);
+      if (!Free.empty()) {
+        uint8_t *Chunk = Free.back();
+        Free.pop_back();
+        return Chunk;
+      }
+    }
+    uint8_t *Chunk = mapAligned(PoolChunkBytes, PoolChunkBytes);
+    ASAN_POISON_MEMORY_REGION(Chunk, PoolChunkBytes);
+    return Chunk;
+  }
+
+  /// Takes back \p Chunks, handing out the first of them next.
+  void giveBack(const std::vector<uint8_t *> &Chunks) {
+    for (uint8_t *Chunk : Chunks)
+      ASAN_POISON_MEMORY_REGION(Chunk, PoolChunkBytes);
+    std::lock_guard<std::mutex> Lock(Mu);
+    Free.insert(Free.end(), Chunks.rbegin(), Chunks.rend());
+  }
+
+private:
+  std::mutex Mu;
+  std::vector<uint8_t *> Free; ///< Guarded by Mu.
+};
+
+ChunkPool &chunkPool() {
+  // Never destroyed: runtimes may be destroyed during static destruction.
+  static ChunkPool *Pool = new ChunkPool;
+  return *Pool;
+}
+} // namespace
 
 static FailureMap generateBudgetMap(size_t PcmPages,
                                     const FailureConfig &Failures) {
@@ -64,22 +148,33 @@ FailureAwareOs::FailureAwareOs(size_t PcmPages,
   InitialPerfect = PerfectUnconsumed;
 }
 
-FailureAwareOs::~FailureAwareOs() = default;
+FailureAwareOs::~FailureAwareOs() {
+  chunkPool().giveBack(HostChunks);
+  for (const OwnMapping &M : OwnMappings) {
+    // A later mapping may reuse the range: leave its shadow clean.
+    ASAN_UNPOISON_MEMORY_REGION(M.Base, M.Bytes);
+    munmap(M.Base, M.Bytes);
+  }
+}
 
 uint8_t *FailureAwareOs::mapHostPages(size_t NumPages) {
   size_t Bytes = alignUp(NumPages * PcmPageSize, GrantAlignment);
-  uint8_t *Raw =
-      static_cast<uint8_t *>(std::aligned_alloc(GrantAlignment, Bytes));
-  if (!Raw) {
-    // Checked in every build: zeroing through a null grant would turn an
-    // out-of-memory host into silent heap corruption.
-    std::fprintf(stderr, "wearmem: cannot map %zu bytes of host pages\n",
-                 Bytes);
-    std::abort();
+  size_t Span = Bytes + (GrantGuards ? GrantAlignment : 0);
+  if (Span > PoolChunkBytes) {
+    uint8_t *Mem = mapAligned(Span, GrantAlignment);
+    ASAN_POISON_MEMORY_REGION(Mem + Bytes, Span - Bytes);
+    OwnMappings.push_back({Mem, Span});
+    return Mem;
   }
-  std::memset(Raw, 0, Bytes);
-  Backing.emplace_back(Raw);
-  return Raw;
+  size_t At = alignUp(CarveOffset, GrantAlignment);
+  if (HostChunks.empty() || At + Span > PoolChunkBytes) {
+    HostChunks.push_back(chunkPool().take());
+    At = 0;
+  }
+  uint8_t *Mem = HostChunks.back() + At;
+  CarveOffset = At + Span;
+  ASAN_UNPOISON_MEMORY_REGION(Mem, Bytes);
+  return Mem;
 }
 
 size_t FailureAwareOs::remainingPages() const {
@@ -146,6 +241,14 @@ std::optional<PageGrant> FailureAwareOs::allocRelaxed(size_t NumPages) {
       return Recycled;
     }
   }
+
+  // Every page below Cursor is consumed, so the walk below sees exactly
+  // remainingPages() candidates. With too few, it fails; and when no
+  // perfect page can be diverted to repay debt, it fails with no side
+  // effect, so skip it (once the stream runs short, every failing request
+  // would otherwise walk the whole tail again).
+  if (remainingPages() < NumPages && (Debt == 0 || PerfectUnconsumed == 0))
+    return std::nullopt;
 
   PageGrant Grant;
   Grant.FailWords.reserve(NumPages);
@@ -245,9 +348,11 @@ std::optional<PageGrant> FailureAwareOs::allocPerfect(size_t NumPages,
 
   // Then the unconsumed perfect-PCM stock, scanning from the top of the
   // budget so the relaxed cursor keeps seeing fresh pages for as long as
-  // possible; borrow DRAM (with debt) for the remainder.
+  // possible (and stopping once none is left); borrow DRAM (with debt)
+  // for the remainder.
   size_t FromPcm = 0;
-  for (size_t Page = PageWords.size(); Page != 0 && FromPcm != NumPages;) {
+  for (size_t Page = PageWords.size();
+       Page != 0 && FromPcm != NumPages && PerfectUnconsumed != 0;) {
     --Page;
     if (!Consumed[Page] && PageWords[Page] == 0) {
       Consumed[Page] = true;

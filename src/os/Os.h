@@ -32,7 +32,6 @@
 #include "pcm/Geometry.h"
 
 #include <cstdint>
-#include <cstdlib>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -84,6 +83,12 @@ struct PageGrant {
   size_t sizeBytes() const { return NumPages * PcmPageSize; }
 };
 
+/// Host memory backing grants is mapped in chunks of this size, drawn from
+/// a process-wide pool that OS models return their chunks to when they are
+/// destroyed. Grants are carved from a chunk front to back at the grant
+/// alignment; a grant larger than a chunk gets a mapping of its own.
+inline constexpr size_t PoolChunkBytes = 1 * MiB;
+
 /// Provisioning statistics (Figure 9(b) reports perfect-page demand).
 struct OsStats {
   uint64_t RelaxedPagesGranted = 0;
@@ -102,7 +107,9 @@ public:
   /// \p PcmPages is the process's whole PCM budget; its failure maps are
   /// generated eagerly by the fault injector. Grants are aligned to
   /// \p GrantAlignment bytes (callers mask object addresses down to block
-  /// bases, so this must be at least the heap's block size).
+  /// bases, so this must be at least the heap's block size). Grant memory
+  /// is not zeroed: it may hold an earlier OS model's data, so every
+  /// consumer writes what it hands out before anything reads it.
   FailureAwareOs(size_t PcmPages, const FailureConfig &Failures,
                  size_t GrantAlignment = 32 * KiB);
   ~FailureAwareOs();
@@ -162,6 +169,9 @@ public:
   void attachJournal(MetadataJournal *J) { Journal = J; }
 
 private:
+  /// Host memory for a grant of \p NumPages, at the grant alignment and
+  /// not zeroed: carved from the current pool chunk (taking a new one when
+  /// it is full), or mapped on its own when larger than a chunk.
   uint8_t *mapHostPages(size_t NumPages);
 
   FailureMap BudgetMap;
@@ -178,11 +188,18 @@ private:
   size_t GrantAlignment;
   OsStats Stats;
   MetadataJournal *Journal = nullptr;
-  /// Host-memory backing for grants (aligned_alloc'd).
-  struct FreeDeleter {
-    void operator()(uint8_t *P) const { std::free(P); }
+  /// Host chunks taken from the pool, in order; grants are carved from
+  /// the last one, starting at CarveOffset. All go back to the pool on
+  /// destruction.
+  std::vector<uint8_t *> HostChunks;
+  size_t CarveOffset = 0;
+  /// Grants larger than a chunk, each its own mapping (unmapped on
+  /// destruction).
+  struct OwnMapping {
+    uint8_t *Base;
+    size_t Bytes;
   };
-  std::vector<std::unique_ptr<uint8_t, FreeDeleter>> Backing;
+  std::vector<OwnMapping> OwnMappings;
   /// Recyclable perfect chunks (first-fit; front-splitting preserves the
   /// front piece's alignment).
   struct FreeChunk {
