@@ -75,13 +75,14 @@ inline const RunResult *storedRun(const std::string &Name) {
   return It == resultStore().end() ? nullptr : &It->second.Last;
 }
 
-/// Variant / baseline normalized time; NaN when either did not complete.
+/// Variant / baseline normalized time; NaN when either is missing or did
+/// not complete.
 inline double storedNorm(const std::string &Variant,
                          const std::string &Base) {
-  double V = storedMs(Variant), B = storedMs(Base);
-  if (std::isnan(V) || std::isnan(B) || B <= 0.0)
+  auto V = resultStore().find(Variant), B = resultStore().find(Base);
+  if (V == resultStore().end() || B == resultStore().end())
     return std::nan("");
-  return V / B;
+  return normalizedTime(V->second, B->second);
 }
 
 /// Geomean of per-profile normalized times against a baseline namer;

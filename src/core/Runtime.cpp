@@ -185,7 +185,6 @@ std::unique_ptr<Runtime> Runtime::recover(const RuntimeConfig &Base,
   Report.JournalOnlyLines = Rec.JournalOnlyLines;
   Report.DeviceOnlyLines = Rec.DeviceOnlyLines;
   Report.Divergences = Scan.ChecksumFailures + Rec.JournalOnlyLines;
-  Report.ClusterRemaps = Rec.ClusterRemaps;
   Report.PoolTransitions = Rec.PoolTransitions;
   Report.LedgerEntries = Rec.LedgerEntries;
   Report.JournalBytes = DS->Journal.size();

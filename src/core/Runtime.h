@@ -103,7 +103,6 @@ struct RecoveryReport {
   uint64_t DeviceOnlyLines = 0;
   /// ChecksumFailures + JournalOnlyLines.
   uint64_t Divergences = 0;
-  uint64_t ClusterRemaps = 0;
   uint64_t PoolTransitions = 0;
   uint64_t LedgerEntries = 0;
   uint64_t JournalBytes = 0;

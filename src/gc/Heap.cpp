@@ -106,17 +106,6 @@ Heap::~Heap() {
     Marker->shutdown();
 }
 
-void Heap::setGcThreads(unsigned Threads) {
-  assert(!InCollection && "cannot reconfigure workers during collection");
-  assert(!IncCycle &&
-         "cannot reconfigure workers while a mark cycle is open");
-  Config.GcThreads = std::max(1u, Threads);
-  if (Config.GcThreads > 1)
-    Workers = std::make_unique<GcWorkerPool>(Config.GcThreads);
-  else
-    Workers.reset();
-}
-
 //===----------------------------------------------------------------------===//
 // Mutator lanes
 //===----------------------------------------------------------------------===//

@@ -175,8 +175,6 @@ public:
   /// Closes the open cycle with the final short pause + collection tail.
   void finishIncrementalMarkCycle();
   bool incrementalCycleOpen() const { return IncCycle != nullptr; }
-  /// Entries currently parked in the SATB deletion log (tests/tools).
-  size_t satbLogDepth() const { return Satb.size(); }
   /// The concurrent pacing's flush-only handshake (see above).
   void satbFlushHandshake();
 
@@ -212,11 +210,6 @@ public:
   ///     collection copies every young survivor and so rescans its
   ///     scanned objects whole instead. A paced cycle's barrier-recorded
   ///     stores and the roots follow serially.
-
-  /// Reconfigures the GC worker pool; 1 collects inline with no
-  /// threads. Must not be called during a collection.
-  void setGcThreads(unsigned Threads);
-  unsigned gcThreads() const { return Config.GcThreads; }
 
   /// Test hook: invoked once per collection (or paced cycle), by the
   /// collecting thread, just after the open enters the mark phase and

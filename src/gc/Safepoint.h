@@ -13,12 +13,12 @@
 /// for. Two refinements make it failure-storm safe:
 ///
 ///  * Blocked regions. A thread about to enter code that can stall for
-///    an unbounded stretch (the OsKernel backpressure drain, a turnstile
-///    wait) brackets it with enterBlockedRegion/leaveBlockedRegion. A
-///    blocked thread counts as "at safepoint" - it cannot touch the heap
-///    - so a storm that wedges one thread inside the failure-buffer
-///    retry loop can never deadlock a collection. Leaving the region
-///    re-checks the stop flag and parks if a handshake is in progress.
+///    an unbounded stretch (a mutator turnstile wait) brackets it with
+///    enterBlockedRegion/leaveBlockedRegion. A blocked thread counts as
+///    "at safepoint" - it cannot touch the heap - so a thread wedged
+///    waiting for its turn can never deadlock a collection. Leaving the
+///    region re-checks the stop flag and parks if a handshake is in
+///    progress.
 ///
 ///  * Watchdog. The collector's wait is sliced into bounded condvar
 ///    rounds ("virtual time" - real nanoseconds never influence
@@ -95,7 +95,7 @@ public:
   /// placement; pollAndPark re-checks under the lock).
   bool stopRequested() const { return StopRequested.load(std::memory_order_relaxed); }
 
-  /// Brackets an unbounded stall (backpressure drain, turnstile wait).
+  /// Brackets an unbounded stall (a turnstile wait).
   /// Safe to call from unregistered threads (no-op). leaveBlockedRegion
   /// parks until resume if a handshake is in progress.
   void enterBlockedRegion();

@@ -135,7 +135,7 @@ private:
   mutable std::mutex Mu;
   std::vector<Segment> Sealed;
   std::vector<Segment> Free;
-  /// Sealed-entry total, readable without the mutex (satbLogDepth and
+  /// Sealed-entry total, readable without the mutex (SatbLog::size and
   /// the marker's more-work probe run off-lock).
   std::atomic<size_t> Entries{0};
   size_t SealedSegmentsHighWater = 0;

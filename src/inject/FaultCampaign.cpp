@@ -10,7 +10,6 @@
 #include "obs/Hooks.h"
 
 #include "core/Runtime.h"
-#include "pcm/PcmDevice.h"
 
 #include <algorithm>
 #include <cassert>
@@ -280,7 +279,51 @@ unsigned nthLiveLine(const Block &B, uint8_t Epoch, size_t Rank) {
   }
 }
 
+/// One failure strikes one 64 B PCM line; within Immix line \p Line of
+/// \p B the victim PCM line is chosen uniformly.
+uint8_t *pcmLineWithin(Block &B, unsigned Line, Rng &Rand) {
+  size_t PerLine = std::max<size_t>(1, B.lineSize() / PcmLineSize);
+  return B.lineAddr(Line) + Rand.nextBelow(PerLine) * PcmLineSize;
+}
+
 } // namespace
+
+std::vector<uint8_t *> wearmem::sampleLiveLines(ImmixSpace &Space,
+                                                uint8_t Epoch, size_t Want,
+                                                Rng &Rand) {
+  // A partial Fisher-Yates shuffle of the live (block, line) pairs in
+  // block-then-line order. The list stays implicit - only per-block
+  // counts exist, the positions the shuffle displaced sit in a small map,
+  // and only the picked lines are located - so a call costs one count
+  // pass, not a heap-wide list, while making the same draws and picking
+  // the same victims in the same order as shuffling the listed pairs.
+  std::vector<std::pair<Block *, unsigned>> Occupied =
+      occupiedBlocks(Space, Epoch);
+  std::vector<size_t> Ends; // Cumulative live-line counts.
+  Ends.reserve(Occupied.size());
+  size_t Live = 0;
+  for (const auto &[B, Count] : Occupied)
+    Ends.push_back(Live += Count);
+  Want = std::min(Want, Live);
+  std::unordered_map<size_t, size_t> Displaced;
+  auto valueAt = [&](size_t Pos) {
+    auto It = Displaced.find(Pos);
+    return It == Displaced.end() ? Pos : It->second;
+  };
+  std::vector<uint8_t *> Addrs;
+  Addrs.reserve(Want);
+  for (size_t I = 0; I != Want; ++I) {
+    size_t J = I + Rand.nextBelow(Live - I);
+    size_t Pick = valueAt(J);
+    Displaced[J] = valueAt(I);
+    size_t K = static_cast<size_t>(
+        std::upper_bound(Ends.begin(), Ends.end(), Pick) - Ends.begin());
+    size_t Rank = Pick - (K == 0 ? 0 : Ends[K - 1]);
+    Block &B = *Occupied[K].first;
+    Addrs.push_back(pcmLineWithin(B, nthLiveLine(B, Epoch, Rank), Rand));
+  }
+  return Addrs;
+}
 
 FaultCampaign::FaultCampaign(std::vector<FaultTrigger> Triggers,
                              uint64_t Seed)
@@ -289,40 +332,20 @@ FaultCampaign::FaultCampaign(std::vector<FaultTrigger> Triggers,
     Armed.push_back(ArmedTrigger{T, T.Start, 0, true});
 }
 
-void FaultCampaign::attachDevice(PcmDevice &Device) {
-  this->Device = &Device;
-  Device.setWriteObserver([this](LineIndex) { ++ObservedWrites; });
-}
-
-void FaultCampaign::setReplay(std::vector<FaultEvent> Events) {
-  Replay = std::move(Events);
-  ReplayNext = 0;
-}
-
 uint64_t FaultCampaign::clockNow(TriggerClock Clock) const {
+  if (!Rt)
+    return 0;
   switch (Clock) {
   case TriggerClock::Writes:
-    if (Device)
-      return ObservedWrites;
-    // No device underneath the heap model: allocation dominates the
-    // write stream, so approximate one line write per 64 allocated
-    // bytes.
-    return Rt ? Rt->stats().BytesAllocated / PcmLineSize : 0;
+    // Allocation dominates the write stream: approximate one line write
+    // per 64 allocated bytes.
+    return Rt->stats().BytesAllocated / PcmLineSize;
   case TriggerClock::AllocBytes:
-    return Rt ? Rt->stats().BytesAllocated : 0;
+    return Rt->stats().BytesAllocated;
   case TriggerClock::GcCount:
-    return Rt ? Rt->stats().GcCount : 0;
+    return Rt->stats().GcCount;
   }
   return 0;
-}
-
-bool FaultCampaign::exhausted() const {
-  if (ReplayNext < Replay.size())
-    return false;
-  for (const ArmedTrigger &A : Armed)
-    if (A.Armed)
-      return false;
-  return true;
 }
 
 bool FaultCampaign::pump() {
@@ -343,7 +366,6 @@ bool FaultCampaign::pump() {
     fire(A);
     AnyFired = true;
   }
-  pumpReplay(AnyFired);
   return AnyFired;
 }
 
@@ -354,8 +376,6 @@ void FaultCampaign::fire(ArmedTrigger &A) {
                 A.FiredCount);
   if (Rt)
     fireHeap(A.T);
-  else if (Device)
-    fireDevice(A.T);
   ++A.FiredCount;
   if (A.T.Period > 0 &&
       (A.T.Repeats == 0 || A.FiredCount < A.T.Repeats)) {
@@ -386,48 +406,12 @@ void FaultCampaign::fireHeap(const FaultTrigger &T) {
   uint8_t Epoch = Rt->heap().epoch();
   std::vector<uint8_t *> Addrs;
 
-  // One failure strikes one 64 B PCM line; within a live Immix line the
-  // victim PCM line is chosen uniformly.
-  auto pcmLineWithin = [&](Block &B, unsigned Line) -> uint8_t * {
-    size_t PerLine = std::max<size_t>(1, B.lineSize() / PcmLineSize);
-    return B.lineAddr(Line) +
-           Rand.nextBelow(PerLine) * PcmLineSize;
-  };
-
   switch (T.Shape) {
-  case FaultShape::Drip: {
+  case FaultShape::Drip:
     // Wear strikes written (live) lines, sampled uniformly across the
-    // whole heap: a partial Fisher-Yates shuffle of the (block, line)
-    // pairs in block-then-line order. The list stays implicit - only
-    // per-block counts exist, the positions the shuffle displaced sit in
-    // a small map, and only the picked lines are located - so a firing
-    // costs one count pass, not a heap-wide list, while making the same
-    // draws and picking the same victims in the same order.
-    std::vector<std::pair<Block *, unsigned>> Occupied =
-        occupiedBlocks(*Space, Epoch);
-    std::vector<size_t> Ends; // Cumulative live-line counts.
-    Ends.reserve(Occupied.size());
-    size_t Live = 0;
-    for (const auto &[B, Count] : Occupied)
-      Ends.push_back(Live += Count);
-    size_t Want = std::min<size_t>(T.Lines, Live);
-    std::unordered_map<size_t, size_t> Displaced;
-    auto valueAt = [&](size_t Pos) {
-      auto It = Displaced.find(Pos);
-      return It == Displaced.end() ? Pos : It->second;
-    };
-    for (size_t I = 0; I != Want; ++I) {
-      size_t J = I + Rand.nextBelow(Live - I);
-      size_t Pick = valueAt(J);
-      Displaced[J] = valueAt(I);
-      size_t K = static_cast<size_t>(
-          std::upper_bound(Ends.begin(), Ends.end(), Pick) - Ends.begin());
-      size_t Rank = Pick - (K == 0 ? 0 : Ends[K - 1]);
-      Block &B = *Occupied[K].first;
-      Addrs.push_back(pcmLineWithin(B, nthLiveLine(B, Epoch, Rank)));
-    }
+    // whole heap.
+    Addrs = sampleLiveLines(*Space, Epoch, T.Lines, Rand);
     break;
-  }
 
   case FaultShape::Storm: {
     if (T.ThreadTarget >= 0) {
@@ -447,7 +431,7 @@ void FaultCampaign::fireHeap(const FaultTrigger &T) {
       for (size_t I = 0; I != Want; ++I) {
         size_t J = I + Rand.nextBelow(Working.size() - I);
         std::swap(Working[I], Working[J]);
-        Addrs.push_back(pcmLineWithin(*B, Working[I]));
+        Addrs.push_back(pcmLineWithin(*B, Working[I], Rand));
       }
       break;
     }
@@ -476,7 +460,7 @@ void FaultCampaign::fireHeap(const FaultTrigger &T) {
     for (size_t I = 0; I != Want; ++I) {
       size_t J = I + Rand.nextBelow(LiveLines.size() - I);
       std::swap(LiveLines[I], LiveLines[J]);
-      Addrs.push_back(pcmLineWithin(B, LiveLines[I]));
+      Addrs.push_back(pcmLineWithin(B, LiveLines[I], Rand));
     }
     break;
   }
@@ -506,130 +490,19 @@ void FaultCampaign::fireHeap(const FaultTrigger &T) {
     break;
   }
 
-  case FaultShape::Replay:
-    // Replay is driven by pumpReplay, never by a scheduled trigger.
-    break;
-
-  case FaultShape::Crash: {
+  case FaultShape::Crash:
     // Arm the kill point; the crash fires later, when execution actually
     // reaches it.
-    MetadataJournal *J = Rt->heap().journal() ? Rt->heap().journal()
-                                              : Journal;
-    if (J)
+    if (MetadataJournal *J = Rt->heap().journal())
       J->armCrash(T.CrashAt);
     else
       ++Stats.DryFirings;
     return;
   }
-  }
 
-  injectHeapBatch(std::move(Addrs), T.Clock, /*Record=*/true);
-}
-
-void FaultCampaign::fireDevice(const FaultTrigger &T) {
-  const FailureMap &Map = Device->softwareFailureMap();
-  size_t NumLines = Device->numLines();
-  size_t NumPages = Device->numPages();
-  unsigned Failed = 0;
-
-  auto forceOne = [&](LineIndex Line) {
-    if (!Map.isFailed(Line) && Device->forceFailLine(Line))
-      ++Failed;
-  };
-
-  switch (T.Shape) {
-  case FaultShape::Drip: {
-    for (unsigned I = 0; I != T.Lines; ++I) {
-      // Rejection-sample a working line, with a bounded linear fallback
-      // so a nearly dead module still converges.
-      LineIndex Line = Rand.nextBelow(NumLines);
-      for (size_t Probe = 0;
-           Probe != NumLines && Map.isFailed(Line); ++Probe)
-        Line = (Line + 1) % NumLines;
-      forceOne(Line);
-    }
-    break;
-  }
-  case FaultShape::Storm: {
-    // Concentrate the burst in one page.
-    PageIndex Page = Rand.nextBelow(NumPages);
-    std::vector<LineIndex> Working;
-    for (size_t I = 0; I != PcmLinesPerPage; ++I) {
-      LineIndex Line = Page * PcmLinesPerPage + I;
-      if (!Map.isFailed(Line))
-        Working.push_back(Line);
-    }
-    size_t Want = std::min<size_t>(T.Lines, Working.size());
-    for (size_t I = 0; I != Want; ++I) {
-      size_t J = I + Rand.nextBelow(Working.size() - I);
-      std::swap(Working[I], Working[J]);
-      forceOne(Working[I]);
-    }
-    break;
-  }
-  case FaultShape::Region: {
-    size_t Span = std::min<size_t>(std::max(1u, T.Pages), NumPages);
-    PageIndex Start = Rand.nextBelow(NumPages / Span) * Span;
-    for (size_t I = 0; I != Span * PcmLinesPerPage; ++I)
-      forceOne(Start * PcmLinesPerPage + I);
-    break;
-  }
-  case FaultShape::Replay:
-    break;
-  case FaultShape::Crash:
-    if (Journal) {
-      Journal->armCrash(T.CrashAt);
-      return;
-    }
-    ++Stats.DryFirings;
-    return;
-  }
-
-  Stats.DeviceLinesFailed += Failed;
-  if (Failed == 0)
-    ++Stats.DryFirings;
-}
-
-void FaultCampaign::pumpReplay(bool &AnyFired) {
-  if (!Rt || ReplayNext >= Replay.size())
-    return;
-  ImmixSpace *Space = Rt->heap().immixSpace();
-  std::vector<uint8_t *> Addrs;
-  while (ReplayNext != Replay.size()) {
-    const FaultEvent &E = Replay[ReplayNext];
-    if (clockNow(E.Clock) < E.ClockValue)
-      break;
-    ++ReplayNext;
-    Block *Target = Space ? Space->blockAt(E.BlockOrdinal) : nullptr;
-    if (!Target || E.ByteOffset >= Target->sizeBytes()) {
-      ++Stats.ReplayMisses;
-      continue;
-    }
-    Addrs.push_back(Target->base() + E.ByteOffset);
-  }
-  if (!Addrs.empty()) {
-    AnyFired = true;
-    ++Stats.Firings;
-    injectHeapBatch(std::move(Addrs), TriggerClock::AllocBytes,
-                    /*Record=*/false);
-  }
-}
-
-void FaultCampaign::injectHeapBatch(std::vector<uint8_t *> &&Addrs,
-                                    TriggerClock Clock, bool Record) {
   if (Addrs.empty()) {
     ++Stats.DryFirings;
     return;
-  }
-  if (Record) {
-    ImmixSpace *Space = Rt->heap().immixSpace();
-    uint64_t Now = clockNow(Clock);
-    for (uint8_t *Addr : Addrs) {
-      Block *B = Space->blockOf(Addr);
-      Trace.push_back(FaultEvent{
-          Now, Clock, static_cast<uint32_t>(Space->ordinalOf(*B)),
-          static_cast<uint32_t>(Addr - B->base())});
-    }
   }
   Stats.LinesFailed += Addrs.size();
   // The router is the multi-lane-aware front door: with one lane it is

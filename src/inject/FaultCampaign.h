@@ -7,20 +7,17 @@
 ///
 /// \file
 /// A deterministic fault-campaign engine: scriptable schedules of
-/// mid-run line wear-outs, driven by the clocks a real device would
-/// advance (writes, allocation volume, collections). The paper injects
+/// mid-run line wear-outs, driven by clocks that advance with the run
+/// (line writes, allocation volume, collections). The paper injects
 /// dynamic failures one at a time at random live lines; a campaign
 /// generalizes that into drips, correlated storms targeting hot blocks,
-/// whole-region wear-outs, and replay of a previously recorded failure
-/// trace - all seeded, so any run (and any crash it provokes) can be
-/// reproduced exactly.
+/// whole-region wear-outs and crash kill points - all seeded, so any run
+/// (and any crash it provokes) can be reproduced exactly.
 ///
-/// A campaign attaches to a Runtime (failures enter through
-/// Heap::injectDynamicFailureBatch, exercising deferred batch recovery)
-/// or to a bare PcmDevice (failures enter through forceFailLine,
-/// exercising the failure buffer, stall protocol, and OS kernel), or
-/// both. pump() is called from the mutator loop between steps - never
-/// during a collection.
+/// A campaign attaches to a Runtime: failures enter through
+/// Heap::routeDynamicFailureBatch, exercising deferred batch recovery.
+/// pump() is called from the mutator loop between steps - never during a
+/// collection.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -37,36 +34,18 @@
 
 namespace wearmem {
 
+class ImmixSpace;
 class Runtime;
-class PcmDevice;
-class MetadataJournal;
 
-/// One injected line failure, in replayable coordinates: the ordinal of
-/// the containing block (in space iteration order, which is creation
-/// order) and the byte offset within it. Replays of the same workload
-/// and seed see the same block sequence, so the trace lands on the same
-/// logical memory.
-struct FaultEvent {
-  uint64_t ClockValue = 0;
-  TriggerClock Clock = TriggerClock::AllocBytes;
-  uint32_t BlockOrdinal = 0;
-  uint32_t ByteOffset = 0;
-};
-
-/// Campaign-side counters (the heap and device keep their own).
+/// Campaign-side counters (the heap keeps its own).
 struct CampaignStats {
   /// Trigger firings attempted.
   uint64_t Firings = 0;
   /// PCM lines failed through the heap interface.
   uint64_t LinesFailed = 0;
-  /// Lines failed through the device interface.
-  uint64_t DeviceLinesFailed = 0;
   /// Firings that found no candidate line (heap too empty, or the
   /// target region already dead).
   uint64_t DryFirings = 0;
-  /// Replay events that no longer map onto the heap (block gone or
-  /// offset out of range).
-  uint64_t ReplayMisses = 0;
   /// Triggers re-armed at doubled intensity by escalation mode.
   uint64_t Escalations = 0;
   /// pump() calls declined because the attached runtime was inside a
@@ -74,6 +53,14 @@ struct CampaignStats {
   /// campaigns hold their triggers until the next mutator step.
   uint64_t PumpsDeferredInGc = 0;
 };
+
+/// The wear victim model shared by the drip shape and the lifetime
+/// harness: up to \p Want distinct Immix lines marked live at \p Epoch,
+/// drawn uniformly across the non-retired blocks of \p Space, each struck
+/// at one uniformly chosen 64 B PCM line. Returns the struck PCM line
+/// addresses in draw order.
+std::vector<uint8_t *> sampleLiveLines(ImmixSpace &Space, uint8_t Epoch,
+                                       size_t Want, Rng &Rand);
 
 /// The campaign engine.
 class FaultCampaign {
@@ -89,42 +76,19 @@ public:
   /// with deferred recovery.
   void attachRuntime(Runtime &Rt) { this->Rt = &Rt; }
 
-  /// Targets a device model: firings become forced wear-outs, and the
-  /// Writes clock counts real line writes via the write observer.
-  void attachDevice(PcmDevice &Device);
-
-  /// Kill-point target for crash triggers on device-attached campaigns
-  /// (runtime-attached campaigns find the journal through the runtime).
-  void attachJournal(MetadataJournal *J) { this->Journal = J; }
-
   /// Escalation mode: a trigger that completes its repeats re-arms with
   /// doubled intensity instead of disarming, so a surviving heap faces
   /// ever-worse storms until something gives.
   void setEscalation(bool On) { Escalate = On; }
 
-  /// Installs a recorded trace for replay (events must be in the order
-  /// they were recorded). Replay runs alongside any scheduled triggers.
-  void setReplay(std::vector<FaultEvent> Events);
-
-  /// Advances the campaign: fires every due trigger and replay event.
-  /// Must not be called during a collection. Returns true if anything
-  /// fired.
+  /// Advances the campaign: fires every due trigger. Must not be called
+  /// during a collection. Returns true if anything fired.
   bool pump();
-
-  /// True when no trigger or replay event can ever fire again.
-  bool exhausted() const;
 
   const CampaignStats &stats() const { return Stats; }
 
-  /// Every line failed through the heap so far, in injection order.
-  const std::vector<FaultEvent> &trace() const { return Trace; }
-
   /// The victim-sampling stream (tests copy it to compare next draws).
   const Rng &rng() const { return Rand; }
-
-  /// The current value of \p Clock (diagnostics; also used by the soak
-  /// harness for survival-curve x-coordinates).
-  uint64_t clockNow(TriggerClock Clock) const;
 
 private:
   struct ArmedTrigger {
@@ -134,22 +98,13 @@ private:
     bool Armed = true;
   };
 
+  uint64_t clockNow(TriggerClock Clock) const;
   void fire(ArmedTrigger &A);
   void fireHeap(const FaultTrigger &T);
-  void fireDevice(const FaultTrigger &T);
-  void pumpReplay(bool &AnyFired);
-  void injectHeapBatch(std::vector<uint8_t *> &&Addrs, TriggerClock Clock,
-                       bool Record);
 
   std::vector<ArmedTrigger> Armed;
-  std::vector<FaultEvent> Replay;
-  size_t ReplayNext = 0;
-  std::vector<FaultEvent> Trace;
   Rng Rand;
   Runtime *Rt = nullptr;
-  PcmDevice *Device = nullptr;
-  MetadataJournal *Journal = nullptr;
-  uint64_t ObservedWrites = 0;
   bool Escalate = false;
   CampaignStats Stats;
 };

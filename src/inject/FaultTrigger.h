@@ -9,7 +9,7 @@
 /// Descriptions of *when* and *how* a fault campaign wears lines out.
 /// A trigger pairs a clock (what advances it) with a shape (what fails
 /// when it fires); a campaign is a list of triggers plus a seed, making
-/// whole failure histories scriptable and replayable.
+/// whole failure histories scriptable and reproducible.
 ///
 /// The textual schedule syntax (FaultCampaign::parseSchedule) is
 ///
@@ -34,9 +34,8 @@ namespace wearmem {
 
 /// What advances a trigger towards firing.
 enum class TriggerClock : uint8_t {
-  /// Device line writes (requires an attached PcmDevice; approximated by
-  /// allocated bytes / 64 when only a runtime is attached, since
-  /// allocation dominates the write stream).
+  /// Line writes, approximated by allocated bytes / 64 (allocation
+  /// dominates the write stream).
   Writes,
   /// Bytes allocated by the mutator.
   AllocBytes,
@@ -54,13 +53,9 @@ enum class FaultShape : uint8_t {
   /// A whole aligned span of pages wears out together (a failing row or
   /// bank): every working PCM line in the span fails at once.
   Region,
-  /// Replays a recorded trace (installed via FaultCampaign::setReplay,
-  /// not the schedule parser).
-  Replay,
-  /// Arms a kill point (CrashAt) in the attached journal: the next time
+  /// Arms a kill point (CrashAt) in the runtime's journal: the next time
   /// execution reaches it, CrashSignal is thrown and the process dies
-  /// there. Requires a journal-attached runtime (or an explicit
-  /// FaultCampaign::attachJournal); a dry firing otherwise.
+  /// there. Requires a journal-attached runtime; a dry firing otherwise.
   Crash,
 };
 

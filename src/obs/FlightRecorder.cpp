@@ -20,8 +20,6 @@ const char *eventKindName(EventKind K) {
     return "none";
   case EventKind::WearFailure:
     return "wear_failure";
-  case EventKind::ForcedFailure:
-    return "forced_failure";
   case EventKind::WriteStall:
     return "write_stall";
   case EventKind::ClusterRedirect:
@@ -36,8 +34,6 @@ const char *eventKindName(EventKind K) {
     return "fbuf_invalidate";
   case EventKind::Interrupt:
     return "interrupt";
-  case EventKind::InterruptDeferred:
-    return "interrupt_deferred";
   case EventKind::ReentrantInterrupt:
     return "interrupt_reentrant";
   case EventKind::PoolTransition:
@@ -80,7 +76,6 @@ namespace {
 const char *eventCategory(EventKind K) {
   switch (K) {
   case EventKind::WearFailure:
-  case EventKind::ForcedFailure:
   case EventKind::WriteStall:
   case EventKind::ClusterRedirect:
   case EventKind::ClusterMapInstalled:
@@ -89,7 +84,6 @@ const char *eventCategory(EventKind K) {
   case EventKind::BufferInvalidate:
     return "pcm";
   case EventKind::Interrupt:
-  case EventKind::InterruptDeferred:
   case EventKind::ReentrantInterrupt:
   case EventKind::PoolTransition:
   case EventKind::PageRemap:

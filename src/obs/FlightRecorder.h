@@ -39,7 +39,6 @@ enum class EventKind : uint16_t {
   None = 0,
   // PCM device. A = logical line, B = physical line (redirects: new line).
   WearFailure,
-  ForcedFailure,
   WriteStall,
   ClusterRedirect,
   ClusterMapInstalled,
@@ -48,7 +47,6 @@ enum class EventKind : uint16_t {
   BufferInvalidate, ///< A = physical line.
   // OS kernel. A = pending batch size.
   Interrupt,
-  InterruptDeferred,
   ReentrantInterrupt,
   PoolTransition, ///< A = transition kind (journal enum), B = pages.
   PageRemap,      ///< A = old page id, B = new page id.

@@ -1,4 +1,4 @@
-//===- obs/Snapshot.cpp - Wear heatmaps and heap snapshots ----------------===//
+//===- obs/Snapshot.cpp - Heap snapshots ----------------------------------===//
 
 #include "Snapshot.h"
 
@@ -8,105 +8,11 @@
 #include "heap/ImmixSpace.h"
 #include "heap/LargeObjectSpace.h"
 #include "os/Os.h"
-#include "pcm/WearSimulation.h"
 #include "support/JsonWriter.h"
 
-#include <cstdlib>
 
 namespace wearmem {
 namespace obs {
-
-WearHeatmap WearHeatmap::fromWearSim(const WearSimResult &Result,
-                                     uint64_t LinesPerBucket) {
-  uint64_t NumLines = Result.WearCounts.size();
-  WearHeatmap H;
-  H.LinesPerBucket = LinesPerBucket ? LinesPerBucket : 1;
-  H.TotalLines = NumLines;
-  H.Buckets.resize((NumLines + H.LinesPerBucket - 1) / H.LinesPerBucket);
-  for (uint64_t L = 0; L < NumLines; ++L) {
-    WearBucket &B = H.Buckets[L / H.LinesPerBucket];
-    uint64_t W = Result.WearCounts[L];
-    B.Wear += W;
-    B.Lines += 1;
-    H.TotalWear += W;
-    if (Result.Map.isFailed(LineIndex(L))) {
-      B.Failed += 1;
-      H.FailedLines += 1;
-    }
-  }
-  return H;
-}
-
-void WearHeatmap::toJson(JsonWriter &W) const {
-  W.key("lines_per_bucket");
-  W.value(LinesPerBucket);
-  W.key("total_lines");
-  W.value(TotalLines);
-  W.key("failed_lines");
-  W.value(FailedLines);
-  W.key("total_wear");
-  W.value(TotalWear);
-  W.key("buckets");
-  W.openArray(JsonWriter::Style::Line);
-  for (const WearBucket &B : Buckets) {
-    W.openObject(JsonWriter::Style::Inline);
-    W.key("wear");
-    W.value(B.Wear);
-    W.key("failed");
-    W.value(B.Failed);
-    W.key("lines");
-    W.value(B.Lines);
-    W.close();
-  }
-  W.close();
-}
-
-std::string WearHeatmap::toJsonString() const {
-  JsonWriter W;
-  W.openRoot();
-  toJson(W);
-  W.closeRoot();
-  return W.str();
-}
-
-namespace {
-
-bool parseU64After(const std::string &T, size_t &Pos, const char *Key,
-                   uint64_t &Out) {
-  std::string Needle = std::string("\"") + Key + "\": ";
-  size_t P = T.find(Needle, Pos);
-  if (P == std::string::npos)
-    return false;
-  P += Needle.size();
-  char *End = nullptr;
-  Out = strtoull(T.c_str() + P, &End, 10);
-  if (End == T.c_str() + P)
-    return false;
-  Pos = size_t(End - T.c_str());
-  return true;
-}
-
-} // namespace
-
-bool WearHeatmap::fromJsonString(const std::string &Text, WearHeatmap &Out) {
-  Out = WearHeatmap();
-  size_t Pos = 0;
-  if (!parseU64After(Text, Pos, "lines_per_bucket", Out.LinesPerBucket) ||
-      !parseU64After(Text, Pos, "total_lines", Out.TotalLines) ||
-      !parseU64After(Text, Pos, "failed_lines", Out.FailedLines) ||
-      !parseU64After(Text, Pos, "total_wear", Out.TotalWear))
-    return false;
-  if (Text.find("\"buckets\": [", Pos) == std::string::npos)
-    return false;
-  WearBucket B;
-  while (parseU64After(Text, Pos, "wear", B.Wear)) {
-    if (!parseU64After(Text, Pos, "failed", B.Failed) ||
-        !parseU64After(Text, Pos, "lines", B.Lines))
-      return false;
-    Out.Buckets.push_back(B);
-  }
-  return true;
-}
 
 HeapSnapshot HeapSnapshot::capture(const Heap &H) {
   HeapSnapshot S;

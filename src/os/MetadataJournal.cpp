@@ -118,13 +118,6 @@ void MetadataJournal::recordPageRemap(uint32_t BudgetPage) {
          0);
 }
 
-void MetadataJournal::recordClusterRemap(uint32_t Region,
-                                         uint32_t VictimOffset,
-                                         bool InstalledMap) {
-  append(JournalKind::ClusterRemap, static_cast<uint16_t>(VictimOffset),
-         Region, InstalledMap ? 1 : 0);
-}
-
 void MetadataJournal::recordPoolTransition(PoolTransitionKind K,
                                            uint32_t Count) {
   append(JournalKind::PoolTransition, static_cast<uint16_t>(K), Count, 0);
@@ -183,9 +176,6 @@ ReconcileResult wearmem::reconcileJournal(const JournalScan &Scan,
     }
     case JournalKind::LedgerEntry:
       ++R.LedgerEntries;
-      break;
-    case JournalKind::ClusterRemap:
-      ++R.ClusterRemaps;
       break;
     case JournalKind::PoolTransition:
       ++R.PoolTransitions;

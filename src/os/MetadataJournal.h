@@ -8,9 +8,9 @@
 /// \file
 /// A write-ahead journal for the failure metadata that makes "non-volatile"
 /// memory actually usable after a restart. The paper keeps per-page failure
-/// bitmaps, clustering redirection maps, and the failure ledger in volatile
-/// OS/runtime structures; this module gives them a crash-consistent shadow
-/// in a reserved PCM sidecar region, modelled as a byte vector inside a
+/// bitmaps, the page pools and the failure ledger in volatile OS/runtime
+/// structures; this module gives them a crash-consistent shadow in a
+/// reserved PCM sidecar region, modelled as a byte vector inside a
 /// DurableState that outlives Runtime incarnations.
 ///
 /// Record format: fixed 16-byte cells -
@@ -101,10 +101,6 @@ enum class JournalKind : uint8_t {
   /// key - block base + byte offset - does not survive a crash; budget
   /// coordinates do).
   LedgerEntry = 2,
-  /// Clustering-hardware redirection-map change: A = region index,
-  /// Arg16 = victim line offset within the region, B = 1 if this failure
-  /// installed the region's map.
-  ClusterRemap = 3,
   /// Perfect/imperfect pool transition: Arg16 = PoolTransitionKind,
   /// A = page index or page count.
   PoolTransition = 4,
@@ -119,7 +115,7 @@ enum class JournalKind : uint8_t {
 enum class PoolTransitionKind : uint16_t {
   /// A fussy request borrowed A DRAM pages (debt incurred).
   DramBorrow = 1,
-  /// A perfect pages were diverted to repay DRAM debt.
+  /// A pages of the recycled perfect stock repaid DRAM debt.
   DebtRepay = 2,
   /// The OS remapped budget page A to a perfect physical page (pinned
   /// object on a failed line); its failure bits are void.
@@ -184,7 +180,6 @@ struct ReconcileResult {
   /// lost to a torn tail) - adopted from the rescan; reported but NOT a
   /// divergence, because device-wins recovery handles them by design.
   uint64_t DeviceOnlyLines = 0;
-  uint64_t ClusterRemaps = 0;
   uint64_t PoolTransitions = 0;
   uint64_t LedgerEntries = 0;
   uint64_t DegradationTransitions = 0;
@@ -242,10 +237,6 @@ public:
   /// bits clear first, then the PoolTransition record. The Remap kill
   /// point sits between the two.
   void recordPageRemap(uint32_t BudgetPage);
-
-  /// Clustering hardware changed a region's redirection map.
-  void recordClusterRemap(uint32_t Region, uint32_t VictimOffset,
-                          bool InstalledMap);
 
   /// Perfect/imperfect pool transition (DRAM borrow, debt repayment,
   /// stock return).

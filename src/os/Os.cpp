@@ -186,15 +186,16 @@ std::optional<PageGrant> FailureAwareOs::allocRelaxed(size_t NumPages) {
 
   // Debt repayment from the recycled perfect stock: data on borrowed DRAM
   // pages migrates onto freed perfect PCM, which consumes the stock. This
-  // is the same one-page space cost as the stream diversion below, and
-  // without it debt would be unrepayable once the budget stream runs dry.
+  // is the only way debt is repaid: allocPerfect borrows DRAM only once
+  // its scan has consumed every unconsumed perfect page, and nothing
+  // replenishes those, so while debt is outstanding the budget stream
+  // holds no perfect page to divert.
   while (Debt > 0 && !PerfectFreeList.empty()) {
     FreeChunk &Chunk = PerfectFreeList.back();
     size_t Use = std::min(Debt, Chunk.NumPages);
     Debt -= Use;
     PerfectStock -= Use;
     Stats.DebtRepaid += Use;
-    Stats.PerfectDivertedToStock += Use;
     if (Journal)
       Journal->recordPoolTransition(PoolTransitionKind::DebtRepay,
                                     static_cast<uint32_t>(Use));
@@ -243,50 +244,26 @@ std::optional<PageGrant> FailureAwareOs::allocRelaxed(size_t NumPages) {
   }
 
   // Every page below Cursor is consumed, so the walk below sees exactly
-  // remainingPages() candidates. With too few, it fails; and when no
-  // perfect page can be diverted to repay debt, it fails with no side
-  // effect, so skip it (once the stream runs short, every failing request
-  // would otherwise walk the whole tail again).
-  if (remainingPages() < NumPages && (Debt == 0 || PerfectUnconsumed == 0))
+  // remainingPages() candidates and takes every one it sees: with too
+  // few, the request fails without walking (once the stream runs short,
+  // every failing request would otherwise walk the whole tail again).
+  assert((Debt == 0 || PerfectUnconsumed == 0) &&
+         "debt is borrowed only once the perfect pages are gone");
+  if (remainingPages() < NumPages)
     return std::nullopt;
 
   PageGrant Grant;
   Grant.FailWords.reserve(NumPages);
 
-  // Walk the budget in address order. Perfect pages repay outstanding
-  // debt (one each) instead of being granted; everything else is granted
+  // Walk the budget in address order, granting each unconsumed page
   // as-is, failure map included.
-  size_t Mark = Cursor;
   std::vector<size_t> Chosen;
   while (Chosen.size() != NumPages && Cursor != PageWords.size()) {
     size_t Page = Cursor++;
-    if (Consumed[Page])
-      continue;
-    if (PageWords[Page] == 0 && Debt > 0) {
-      // Debit-credit repayment: the perfect page replaces a borrowed DRAM
-      // page; the relaxed allocator pays by not receiving this page.
-      Consumed[Page] = true;
-      ++ConsumedCount;
-      --PerfectUnconsumed;
-      --Debt;
-      ++Stats.DebtRepaid;
-      ++Stats.PerfectDivertedToStock;
-      if (Journal)
-        Journal->recordPoolTransition(PoolTransitionKind::DebtRepay, 1);
-      WEARMEM_COUNT_DET("os.pool.debt_repaid");
-      WEARMEM_TRACE(PoolTransition,
-                    static_cast<uint64_t>(PoolTransitionKind::DebtRepay), 1);
-      continue;
-    }
-    Chosen.push_back(Page);
+    if (!Consumed[Page])
+      Chosen.push_back(Page);
   }
-  if (Chosen.size() != NumPages) {
-    // Budget exhausted mid-request: roll the cursor back so a smaller
-    // later request can still see the unconsumed tail. Diverted pages
-    // stay diverted (the debt really was repaid).
-    Cursor = Mark;
-    return std::nullopt;
-  }
+  assert(Chosen.size() == NumPages && "the walk sees remainingPages()");
 
   for (size_t Page : Chosen) {
     Consumed[Page] = true;

@@ -18,8 +18,9 @@
 ///    object space, overflow blocks): returns only failure-free pages.
 ///
 /// When no perfect PCM page is available, a fussy request borrows a DRAM
-/// page and records one page of debt; the relaxed allocator repays debt by
-/// declining perfect pages offered to it (the debit-credit cost model of
+/// page and records one page of debt; the relaxed allocator repays debt
+/// from the recycled perfect stock, one freed perfect page per borrowed
+/// page, before it grants anything (the debit-credit cost model of
 /// Section 5, which makes DRAM a scarce, paid-for resource instead of a
 /// free fragmentation-immune escape hatch).
 ///
@@ -97,7 +98,6 @@ struct OsStats {
   uint64_t PerfectRecycledServed = 0;
   uint64_t DramBorrowed = 0;
   uint64_t DebtRepaid = 0;
-  uint64_t PerfectDivertedToStock = 0;
   uint64_t PerfectPagesReturned = 0;
 };
 
@@ -118,8 +118,9 @@ public:
   FailureAwareOs &operator=(const FailureAwareOs &) = delete;
 
   /// Imperfect mmap: grants \p NumPages virtually contiguous pages drawn
-  /// from the budget in address order (perfect pages may be diverted to
-  /// repay debt). Returns std::nullopt when the budget is exhausted.
+  /// from the budget in address order, after repaying outstanding debt
+  /// from the recycled perfect stock. Returns std::nullopt when the budget
+  /// is exhausted.
   std::optional<PageGrant> allocRelaxed(size_t NumPages);
 
   /// Fussy request: grants \p NumPages virtually contiguous *perfect*
@@ -139,7 +140,7 @@ public:
   /// are routed to the perfect stock.
   void freeRelaxed(PageGrant &&Grant);
 
-  /// Pages not yet granted or diverted.
+  /// Pages not yet granted.
   size_t remainingPages() const;
 
   /// Unconsumed pages that are failure-free. O(1): maintained as a

@@ -9,8 +9,6 @@
 
 #include "obs/Hooks.h"
 
-#include <cassert>
-
 using namespace wearmem;
 
 OsKernel::OsKernel(PcmDevice &Device) : Device(Device) {
@@ -19,59 +17,6 @@ OsKernel::OsKernel(PcmDevice &Device) : Device(Device) {
     ++Stats.StallsDrained;
     handleFailures();
   });
-}
-
-void OsKernel::attachJournal(MetadataJournal *J) {
-  Journal = J;
-  if (!J) {
-    Device.setFailureMetadataObserver(nullptr);
-    return;
-  }
-  Device.setFailureMetadataObserver([this](const RedirectOutcome &Outcome,
-                                           LineIndex Logical,
-                                           uint64_t Region) {
-    if (!Journal || Outcome.AlreadyDead)
-      return;
-    // Write-ahead: every newly failed logical line, in (page, line)
-    // coordinates. recordLineFailure marks durable truth before the
-    // append, so a tear here loses bookkeeping, never physics.
-    for (uint64_t Line : Outcome.NewlyFailedLogical)
-      Journal->recordLineFailure(
-          static_cast<uint32_t>(Line / PcmLinesPerPage),
-          static_cast<uint32_t>(Line % PcmLinesPerPage));
-    if (Region == ~uint64_t(0) || Outcome.Refused)
-      return;
-    // Mid-remap kill point: the failure-map records above are (possibly)
-    // durable, the redirection-map record below is not yet.
-    Journal->crashPoint(CrashPoint::Remap);
-    size_t LinesPerRegion = Device.clustering()
-                                ? Device.clustering()->linesPerRegion()
-                                : PcmLinesPerPage;
-    Journal->recordClusterRemap(
-        static_cast<uint32_t>(Region),
-        static_cast<uint32_t>(Logical % LinesPerRegion),
-        Outcome.InstalledMap);
-  });
-}
-
-DeviceRecovery OsKernel::recoverFromJournal() {
-  assert(Journal && "recovery requires an attached journal");
-  JournalScan Scan = Journal->scan();
-  // Ground truth is the device rescan: the hardware survived the crash
-  // even though every volatile OS structure did not.
-  ReconcileResult Rec = reconcileJournal(Scan, Journal->durable().Baseline,
-                                         Device.softwareFailureMap());
-  DeviceRecovery Out;
-  Out.RecordsReplayed = Rec.RecordsReplayed;
-  Out.TornTailBytes = Scan.TornTailBytes;
-  Out.ChecksumFailures = Scan.ChecksumFailures;
-  Out.JournalOnlyLines = Rec.JournalOnlyLines;
-  Out.DeviceOnlyLines = Rec.DeviceOnlyLines;
-  Out.Divergences = Scan.ChecksumFailures + Rec.JournalOnlyLines;
-  Out.ClusterRemapsReplayed = Rec.ClusterRemaps;
-  Out.Reconciled = Rec.Reconciled;
-  Journal->compact(Rec.Reconciled);
-  return Out;
 }
 
 void OsKernel::handleFailures() {
@@ -88,21 +33,11 @@ void OsKernel::handleFailures() {
     WEARMEM_TRACE(ReentrantInterrupt, Device.failureBuffer().size(), 0);
     return;
   }
-  // Safepoint gate: the runtime is at a point where an up-call would be
-  // unsafe (mid mark phase). The device keeps the entries buffered and
-  // forwards reads from the failed lines, so deferring costs nothing but
-  // latency.
-  if (UpcallGate && UpcallGate()) {
-    ++Stats.DeferredInterrupts;
-    WEARMEM_COUNT_DET("os.interrupts.deferred");
-    WEARMEM_TRACE(InterruptDeferred, Device.failureBuffer().size(), 0);
-    return;
-  }
   std::lock_guard<std::mutex> Lock(HandlerMu);
   HandlerOwner.store(std::this_thread::get_id(), std::memory_order_release);
-  // A kill point inside the loop unwinds through here (CrashSignal); the
-  // guard keeps the owner id from surviving into a recovered incarnation
-  // that happens to reuse this thread.
+  // A handler that unwinds (an up-call reaching an armed kill point throws
+  // CrashSignal) must not leave the owner id behind for a recovered
+  // incarnation that happens to reuse this thread.
   struct OwnerReset {
     std::atomic<std::thread::id> &Owner;
     ~OwnerReset() { Owner.store(std::thread::id(), std::memory_order_release); }
@@ -121,12 +56,6 @@ void OsKernel::handleFailures() {
     // reverse address translation; identity-mapped here).
     for (const FailureRecord &Record : Pending)
       ProtectedPages.insert(pageOfAddr(Record.LineAddr));
-
-    // Mid-upcall kill point: pages fenced, the batch not yet handed to
-    // the runtime. A crash here leaves the kernel dead mid-handler; the
-    // recovery path constructs a fresh OsKernel against the same device.
-    if (Journal)
-      Journal->crashPoint(CrashPoint::InterruptUpcall);
 
     if (Handler_) {
       ++Stats.UpCalls;
@@ -151,40 +80,4 @@ void OsKernel::handleFailures() {
     for (const FailureRecord &Record : Pending)
       ProtectedPages.erase(pageOfAddr(Record.LineAddr));
   }
-}
-
-WriteResult OsKernel::writeWithBackpressure(PcmAddr Addr,
-                                            const uint8_t *Data,
-                                            size_t Size) {
-  WriteResult Result = Device.write(Addr, Data, Size);
-  if (Result != WriteResult::Stalled)
-    return Result;
-  // The retry loop can spend a long time draining a storm; to the
-  // safepoint coordinator this thread counts as stopped for its whole
-  // duration (and parks on exit if a handshake arrived meanwhile). RAII
-  // so a kill point unwinding out of handleFailures still leaves.
-  struct BlockedRegion {
-    OsKernel &K;
-    explicit BlockedRegion(OsKernel &K) : K(K) {
-      if (K.BlockedEnter)
-        K.BlockedEnter();
-    }
-    ~BlockedRegion() {
-      if (K.BlockedLeave)
-        K.BlockedLeave();
-    }
-  } Region{*this};
-  for (unsigned Retry = 0;
-       Result == WriteResult::Stalled && Retry != MaxStallRetries;
-       ++Retry) {
-    // The stall interrupt already ran once (the device raises it before
-    // refusing); drain explicitly and retry in case resolution freed
-    // buffer space only after that first attempt.
-    handleFailures();
-    ++Stats.StallRetries;
-    Result = Device.write(Addr, Data, Size);
-  }
-  if (Result == WriteResult::Stalled)
-    ++Stats.StallDrainFailures;
-  return Result;
 }

@@ -15,12 +15,16 @@
 /// whole affected page to a perfect page. Only after resolution are the
 /// buffer entries invalidated, re-enabling the module to accept writes.
 ///
+/// The kernel neither gates nor journals the up-call: the heap parks a
+/// batch that arrives mid mark phase itself
+/// (Heap::injectDynamicFailureBatch), and crash recovery runs through
+/// Runtime::recover.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef WEARMEM_OS_OSKERNEL_H
 #define WEARMEM_OS_OSKERNEL_H
 
-#include "os/MetadataJournal.h"
 #include "pcm/PcmDevice.h"
 
 #include <atomic>
@@ -49,33 +53,6 @@ struct OsKernelStats {
   /// Interrupts raised while the handler was already running (failures
   /// raised by the up-call itself; they stay buffered for the loop).
   uint64_t ReentrantInterrupts = 0;
-  /// Interrupts declined by the up-call gate (runtime at an unsafe
-  /// point, e.g. mid mark phase); the entries stay buffered and are
-  /// serviced by a later handleFailures call.
-  uint64_t DeferredInterrupts = 0;
-  /// Stalled writes retried by writeWithBackpressure after a drain.
-  uint64_t StallRetries = 0;
-  /// writeWithBackpressure giving up: the buffer stayed near-full for a
-  /// whole retry budget (a failure storm outran the drain path).
-  uint64_t StallDrainFailures = 0;
-};
-
-/// Counters for a device-side journal recovery.
-struct DeviceRecovery {
-  uint64_t RecordsReplayed = 0;
-  uint64_t TornTailBytes = 0;
-  uint64_t ChecksumFailures = 0;
-  /// Journal claims a line failed; the device rescan denies it. Dropped,
-  /// counted as a divergence.
-  uint64_t JournalOnlyLines = 0;
-  /// Device reports a failure the journal never logged (torn tail).
-  /// Adopted from the rescan; not a divergence.
-  uint64_t DeviceOnlyLines = 0;
-  /// ChecksumFailures + JournalOnlyLines.
-  uint64_t Divergences = 0;
-  uint64_t ClusterRemapsReplayed = 0;
-  /// The reconciled (device-wins) failure map.
-  FailureMap Reconciled;
 };
 
 /// Interrupt-handling glue between a PcmDevice and a managed runtime.
@@ -89,59 +66,11 @@ public:
     Handler_ = std::move(Handler);
   }
 
-  /// Binds a metadata journal: each wear failure the device reports is
-  /// journaled as a FailureMapUpdate (plus a ClusterRemap record when the
-  /// clustering hardware swapped mappings), and the kernel's interrupt
-  /// path gains the InterruptUpcall and Remap kill points.
-  void attachJournal(MetadataJournal *J);
-  MetadataJournal *journal() const { return Journal; }
-
-  /// Crash recovery for the device side: scans the journal, replays it
-  /// over the journal's baseline, rescans the device's software failure
-  /// map as ground truth, and reconciles (device wins; divergences are
-  /// counted and reported, never silently applied). Compacts the journal
-  /// to the reconciled map before returning.
-  DeviceRecovery recoverFromJournal();
-
-  /// Installs a safepoint gate for the up-call: while \p Gate returns
-  /// true, handleFailures leaves the interrupt buffered (counted in
-  /// DeferredInterrupts) instead of up-calling into the runtime. The
-  /// parallel collector sets a gate that is true during the mark phase,
-  /// so a wear interrupt cannot mutate line states under the tracing
-  /// workers; the entries are never lost - the next handleFailures after
-  /// the gate opens services them. Pass an empty function to remove.
-  void setUpcallGate(std::function<bool()> Gate) {
-    UpcallGate = std::move(Gate);
-  }
-
-  /// Installs safepoint blocked-region hooks around the backpressure
-  /// retry loop: \p Enter runs before the first stalled retry and
-  /// \p Leave after the loop ends. A mutator thread stuck draining a
-  /// failure storm counts as at-safepoint for the whole stall, so a
-  /// storm that pins one thread in backpressure can never deadlock a
-  /// stop-the-world handshake. Pass empty functions to remove.
-  void setBlockedRegionHooks(std::function<void()> Enter,
-                             std::function<void()> Leave) {
-    BlockedEnter = std::move(Enter);
-    BlockedLeave = std::move(Leave);
-  }
-
   /// Services the failure interrupt: snapshots pending failures, revokes
   /// page permissions, up-calls (or page-copies), then clears the buffer
   /// entries. Called automatically via the device interrupt; may also be
   /// called directly to drain a stall.
   void handleFailures();
-
-  /// Bounded backpressure for failure storms: a write that stalls on the
-  /// near-full failure buffer drains it and retries, up to
-  /// \p MaxStallRetries times, instead of failing the caller on the first
-  /// stall. Returns the final device verdict; Stalled after the retry
-  /// budget means the storm is outrunning resolution (counted in
-  /// StallDrainFailures) and the caller should degrade gracefully.
-  WriteResult writeWithBackpressure(PcmAddr Addr, const uint8_t *Data,
-                                    size_t Size);
-
-  static constexpr unsigned MaxStallRetries = 8;
 
   /// True while \p Page is under revoked permissions (failure being
   /// resolved). Exposed for tests.
@@ -154,12 +83,8 @@ public:
 private:
   PcmDevice &Device;
   RuntimeFailureHandler Handler_;
-  std::function<bool()> UpcallGate;
-  std::function<void()> BlockedEnter;
-  std::function<void()> BlockedLeave;
   std::set<PageIndex> ProtectedPages;
   OsKernelStats Stats;
-  MetadataJournal *Journal = nullptr;
 
   // Handler re-entrancy state. The owner id distinguishes the two ways a
   // second handleFailures can arrive while one runs: the *same* thread

@@ -90,50 +90,10 @@ WriteResult PcmDevice::writeLine(LineIndex Logical, const uint8_t *Data) {
     ++Stats.FailureInterrupts;
     if (OnFailure)
       OnFailure();
-    if (WriteObserver)
-      WriteObserver(Logical);
     return WriteResult::Ok;
   }
   std::memcpy(lineStorage(Physical), Data, PcmLineSize);
-  if (WriteObserver)
-    WriteObserver(Logical);
   return WriteResult::Ok;
-}
-
-bool PcmDevice::forceFailLine(LineIndex Logical) {
-  assert(Logical < numLines() && "line index out of range");
-  if (SoftwareMap.isFailed(Logical))
-    return false;
-  if (Buffer.nearFull()) {
-    // Follow the stall protocol a real write would: raise the stall
-    // interrupt so the OS can drain, and refuse if it could not.
-    ++Stats.StallEvents;
-    WEARMEM_COUNT_DET("pcm.stall_events");
-    WEARMEM_TRACE(WriteStall, Logical, Buffer.size());
-    if (OnStall)
-      OnStall();
-    if (Buffer.nearFull())
-      return false;
-  }
-  // The line's current contents are the data "in flight" when the cell
-  // stuck; latch them so nothing is lost. (The buffer cannot already
-  // hold this line - it would be failed in the software map.)
-  LineIndex Physical = translate(Logical);
-  uint8_t Data[PcmLineSize];
-  std::memcpy(Data, lineStorage(Physical), PcmLineSize);
-  // The forcing write is the one that stuck.
-  Budget[Physical] = 0;
-  PhysFailed.set(Physical);
-  ++Stats.WearFailures;
-  ++Stats.ForcedFailures;
-  WEARMEM_COUNT_DET("pcm.wear_failures");
-  WEARMEM_COUNT_DET("pcm.forced_failures");
-  WEARMEM_TRACE(ForcedFailure, Logical, Physical);
-  handleWearFailure(Logical, Data);
-  ++Stats.FailureInterrupts;
-  if (OnFailure)
-    OnFailure();
-  return true;
 }
 
 void PcmDevice::handleWearFailure(LineIndex Logical, const uint8_t *Data) {
@@ -147,11 +107,6 @@ void PcmDevice::handleWearFailure(LineIndex Logical, const uint8_t *Data) {
     assert(Pushed && "failure buffer overflow despite stall protocol");
     (void)Pushed;
     SoftwareMap.fail(Logical);
-    if (MetadataObserver) {
-      RedirectOutcome Plain;
-      Plain.NewlyFailedLogical.push_back(Logical);
-      MetadataObserver(Plain, Logical, ~uint64_t(0));
-    }
     return;
   }
 
@@ -181,10 +136,6 @@ void PcmDevice::handleWearFailure(LineIndex Logical, const uint8_t *Data) {
     if (Victim == Logical)
       LogicalRetired = true;
   }
-  if (MetadataObserver)
-    MetadataObserver(Outcome, Logical,
-                     Logical / Clustering->linesPerRegion());
-
   if (LogicalRetired) {
     // The written line itself was retired (it coincided with the boundary
     // or a metadata slot): forward the in-flight write data instead of the

@@ -74,8 +74,6 @@ struct PcmDeviceStats {
   uint64_t StallEvents = 0;
   uint64_t DeadLineReads = 0;
   uint64_t FailureInterrupts = 0;
-  /// Wear-outs forced by a fault campaign rather than budget exhaustion.
-  uint64_t ForcedFailures = 0;
 };
 
 /// The simulated module. All addresses are *logical* line/byte addresses,
@@ -87,16 +85,6 @@ public:
   using FailureInterruptFn = std::function<void()>;
   /// Fires when the buffer reaches its near-full threshold.
   using StallInterruptFn = std::function<void()>;
-  /// Observes every successful line write (fault campaigns use this as
-  /// their write-count clock).
-  using WriteObserverFn = std::function<void(LineIndex)>;
-  /// Observes every wear failure *after* the software failure map and any
-  /// clustering redirection have been updated: the newly failed logical
-  /// lines, the redirect outcome, and the region index (or ~0 without
-  /// clustering). The OS layer hooks this to journal FailureMapUpdate and
-  /// ClusterRemap records (pcm cannot depend on the os journal directly).
-  using FailureMetadataObserverFn = std::function<void(
-      const RedirectOutcome &Outcome, LineIndex Logical, uint64_t Region)>;
 
   explicit PcmDevice(const PcmDeviceConfig &Config);
 
@@ -108,12 +96,6 @@ public:
     OnFailure = std::move(Fn);
   }
   void setStallInterrupt(StallInterruptFn Fn) { OnStall = std::move(Fn); }
-  void setWriteObserver(WriteObserverFn Fn) {
-    WriteObserver = std::move(Fn);
-  }
-  void setFailureMetadataObserver(FailureMetadataObserverFn Fn) {
-    MetadataObserver = std::move(Fn);
-  }
 
   /// Writes one 64 B line. May trigger wear failure handling.
   WriteResult writeLine(LineIndex Logical, const uint8_t *Data);
@@ -152,16 +134,8 @@ public:
   uint64_t remainingWrites(LineIndex Logical) const;
 
   /// Forces the physical line backing \p Logical to fail on its next
-  /// write (fault-injection hook for tests and examples).
+  /// write (fault-injection hook for tests, examples and benches).
   void injectImminentFailure(LineIndex Logical);
-
-  /// Wears out the line *now*, as if a write just exhausted its budget:
-  /// the current contents are latched in the failure buffer, the failure
-  /// is routed (clustered if enabled) and the interrupt fires. Respects
-  /// the stall protocol - when the buffer is near-full it raises the
-  /// stall interrupt once and refuses (returns false) if that did not
-  /// free space. Also returns false if the line is already dead.
-  bool forceFailLine(LineIndex Logical);
 
 private:
   LineIndex translate(LineIndex Logical);
@@ -184,8 +158,6 @@ private:
   PcmDeviceStats Stats;
   FailureInterruptFn OnFailure;
   StallInterruptFn OnStall;
-  WriteObserverFn WriteObserver;
-  FailureMetadataObserverFn MetadataObserver;
 };
 
 } // namespace wearmem

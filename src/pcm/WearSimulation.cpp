@@ -42,9 +42,7 @@ WearSimResult wearmem::simulateWear(const WearSimConfig &Config,
                                       static_cast<double>(NumLines));
   WearSimResult Result;
 
-  std::vector<uint32_t> SlotWrites(NumSlots, 0);
   auto WearSlot = [&](size_t Slot) {
-    ++SlotWrites[Slot];
     if (Failed[Slot])
       return; // Dead cells absorb writes without further effect.
     if (--Budget[Slot] == 0) {
@@ -79,12 +77,8 @@ WearSimResult wearmem::simulateWear(const WearSimConfig &Config,
   // Project physical failures back into the logical space under the final
   // mapping.
   Result.Map = FailureMap(NumLines);
-  Result.WearCounts.resize(NumLines, 0);
-  for (size_t L = 0; L != NumLines; ++L) {
-    size_t Slot = Config.UseStartGap ? Leveler.translate(L) : L;
-    if (Failed[Slot])
+  for (size_t L = 0; L != NumLines; ++L)
+    if (Failed[Config.UseStartGap ? Leveler.translate(L) : L])
       Result.Map.fail(L);
-    Result.WearCounts[L] = SlotWrites[Slot];
-  }
   return Result;
 }

@@ -54,10 +54,6 @@ struct WearSimResult {
   /// this (its selling point), at the cost of what the map then looks
   /// like.
   uint64_t WritesAtFirstFailure = 0;
-  /// Writes absorbed per logical line under the *final* mapping (dead
-  /// cells keep absorbing, so without leveling these sum to TotalWrites).
-  /// Feeds the obs wear heatmap.
-  std::vector<uint32_t> WearCounts;
 };
 
 /// Runs traffic until \p TargetFailedFraction of lines have failed (or

@@ -94,9 +94,6 @@ public:
   const Runtime &runtime() const { return *Rt; }
   DegradationMode mode() const { return Rt->heap().degradationMode(); }
   bool outOfMemory() const { return Rt->outOfMemory(); }
-  const CampaignStats *campaignStats() const {
-    return Campaign ? &Campaign->stats() : nullptr;
-  }
 
   /// Position-independent heap digest (finishing any deferred failure
   /// recovery first, so the digest is a pure function of the event

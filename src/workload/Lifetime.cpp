@@ -7,6 +7,7 @@
 
 #include "workload/Lifetime.h"
 
+#include "inject/FaultCampaign.h"
 #include "pcm/Geometry.h"
 #include "support/CliArgs.h"
 #include "support/JsonWriter.h"
@@ -30,36 +31,18 @@ uint64_t wearDose(const LifetimeOptions &Opt, unsigned K) {
 }
 
 /// Strikes up to \p Want live (current-epoch) lines through the heap's
-/// ordinary dynamic-failure interrupt path - the same victim model as
-/// the inject engine's drip shape. Returns the number actually struck
-/// (the heap can run out of live lines near end of life).
+/// ordinary dynamic-failure interrupt path, drawn by the inject engine's
+/// drip sampler. Returns the number actually struck (the heap can run out
+/// of live lines near end of life).
 uint64_t injectWear(Runtime &Rt, Rng &Rand, uint64_t Want) {
   ImmixSpace *Space = Rt.heap().immixSpace();
   if (!Space || Space->blockCount() == 0 || Rt.heap().outOfMemory())
     return 0;
-  uint8_t Epoch = Rt.heap().epoch();
-  std::vector<std::pair<Block *, unsigned>> Live;
-  Space->forEachBlock([&](Block &B) {
-    if (B.state() == BlockState::Retired)
-      return;
-    for (unsigned Line = 0; Line != B.lineCount(); ++Line)
-      if (B.lineMark(Line) == Epoch)
-        Live.emplace_back(&B, Line);
-  });
-  size_t Strike = std::min<size_t>(Want, Live.size());
-  std::vector<uint8_t *> Addrs;
-  Addrs.reserve(Strike);
-  for (size_t I = 0; I != Strike; ++I) {
-    size_t J = I + Rand.nextBelow(Live.size() - I);
-    std::swap(Live[I], Live[J]);
-    Block &B = *Live[I].first;
-    size_t PerLine = std::max<size_t>(1, B.lineSize() / PcmLineSize);
-    Addrs.push_back(B.lineAddr(Live[I].second) +
-                    Rand.nextBelow(PerLine) * PcmLineSize);
-  }
+  std::vector<uint8_t *> Addrs = sampleLiveLines(
+      *Space, Rt.heap().epoch(), static_cast<size_t>(Want), Rand);
   if (!Addrs.empty())
     Rt.heap().routeDynamicFailureBatch(Addrs);
-  return Strike;
+  return Addrs.size();
 }
 
 void updateMilestone(double &Slot, bool Reached, double Years) {

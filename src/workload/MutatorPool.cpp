@@ -70,7 +70,7 @@ bool MutatorPool::run() {
   }
   bool Ok = !Failed;
   for (const LaneState &Lane : Lanes)
-    Ok = Ok && Lane.Report.Completed;
+    Ok = Ok && Lane.Completed;
   return Ok && !Rt.outOfMemory();
 }
 
@@ -108,18 +108,16 @@ void MutatorPool::threadMain(unsigned ThreadIdx) {
     Lock.lock();
 
     LaneState &State = Lanes[Lane];
-    ++State.Report.Turns;
     if (!Ok) {
       Failed = true;
       State.Done = true;
       ++DoneLanes;
     } else if (State.SetUpDone && State.M->steadyAllocatedBytes() >=
                                       State.M->targetBytes()) {
-      State.Report.Completed = true;
+      State.Completed = true;
       State.Done = true;
       ++DoneLanes;
     }
-    State.Report.SteadyAllocated = State.M->steadyAllocatedBytes();
     ++Turn;
     TurnCv.notify_all();
   }

@@ -56,13 +56,6 @@ struct MutatorPoolOptions {
   AdversaryKind Adversary = AdversaryKind::None;
 };
 
-/// Per-lane outcome for reporting.
-struct LaneReport {
-  uint64_t SteadyAllocated = 0;
-  uint64_t Turns = 0;
-  bool Completed = false;
-};
-
 class MutatorPool {
 public:
   /// Called once per turn on the active lane's thread, after the mailbox
@@ -84,9 +77,6 @@ public:
   uint64_t totalTurns() const { return Turn; }
   uint64_t steadyAllocatedBytes() const;
   uint64_t targetBytes() const;
-  const LaneReport &laneReport(unsigned Lane) const {
-    return Lanes[Lane].Report;
-  }
   bool failed() const { return Failed; }
 
 private:
@@ -94,7 +84,9 @@ private:
     std::unique_ptr<Mutator> M;
     bool SetUpDone = false;
     bool Done = false;
-    LaneReport Report;
+    /// The lane allocated its full volume (run() reports success only
+    /// when every lane did).
+    bool Completed = false;
   };
 
   void threadMain(unsigned ThreadIdx);

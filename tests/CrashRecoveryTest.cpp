@@ -8,8 +8,8 @@
 #include "core/Runtime.h"
 #include "gc/Heap.h"
 #include "heap/ImmixSpace.h"
+#include "os/MetadataJournal.h"
 #include "os/Os.h"
-#include "os/OsKernel.h"
 
 #include <gtest/gtest.h>
 
@@ -196,70 +196,6 @@ TEST(CrashRecoveryTest, JournalOnlyClaimIsReportedNotApplied) {
   EXPECT_EQ(Report.Divergences, 1u);
   EXPECT_FALSE(Rt2->heap().os().budgetFailureMap().isFailed(7));
   EXPECT_TRUE(Report.AuditPassed);
-}
-
-// Device-side recovery: the OS kernel journals wear failures the device
-// reports and rebuilds its view from journal + rescan.
-TEST(CrashRecoveryTest, OsKernelRecoversDeviceFailures) {
-  PcmDeviceConfig Cfg;
-  Cfg.NumPages = 16;
-  Cfg.MeanLineLifetime = 1000;
-  Cfg.LifetimeVariation = 0.0;
-  Cfg.ClusteringEnabled = true;
-  Cfg.RegionPages = 2;
-  PcmDevice Device(Cfg);
-  OsKernel Kernel(Device);
-
-  auto DS = std::make_shared<DurableState>();
-  DS->DeviceTruth = FailureMap(Device.softwareFailureMap().numLines());
-  DS->Baseline = DS->DeviceTruth;
-  MetadataJournal J(DS);
-  Kernel.attachJournal(&J);
-
-  EXPECT_TRUE(Device.forceFailLine(3));
-  EXPECT_TRUE(Device.forceFailLine(200));
-  EXPECT_TRUE(Device.forceFailLine(210));
-  EXPECT_GT(J.sizeBytes(), 0u);
-
-  DeviceRecovery Rec = Kernel.recoverFromJournal();
-  EXPECT_GT(Rec.RecordsReplayed, 0u);
-  EXPECT_EQ(Rec.ChecksumFailures, 0u);
-  EXPECT_EQ(Rec.Divergences, 0u);
-  EXPECT_TRUE(Rec.Reconciled == Device.softwareFailureMap());
-  // Recovery compacts: the reconciled map is the new baseline.
-  EXPECT_EQ(J.sizeBytes(), 0u);
-  EXPECT_TRUE(DS->Baseline == Rec.Reconciled);
-}
-
-// Killing between the clustering remap and its journal record leaves the
-// device ahead of the journal; the rescan resolves it without divergence
-// (the line failure itself was journaled before the kill point).
-TEST(CrashRecoveryTest, OsKernelCrashMidRemap) {
-  PcmDeviceConfig Cfg;
-  Cfg.NumPages = 16;
-  Cfg.MeanLineLifetime = 1000;
-  Cfg.LifetimeVariation = 0.0;
-  Cfg.ClusteringEnabled = true;
-  Cfg.RegionPages = 2;
-  PcmDevice Device(Cfg);
-  OsKernel Kernel(Device);
-
-  auto DS = std::make_shared<DurableState>();
-  DS->DeviceTruth = FailureMap(Device.softwareFailureMap().numLines());
-  DS->Baseline = DS->DeviceTruth;
-  MetadataJournal J(DS);
-  Kernel.attachJournal(&J);
-
-  J.armCrash(CrashPoint::Remap);
-  EXPECT_THROW(Device.forceFailLine(5), CrashSignal);
-
-  // The kernel's interrupt path was cut mid-flight; a real recovery
-  // builds a fresh kernel over the surviving device.
-  OsKernel Fresh(Device);
-  Fresh.attachJournal(&J);
-  DeviceRecovery Rec = Fresh.recoverFromJournal();
-  EXPECT_EQ(Rec.Divergences, 0u);
-  EXPECT_TRUE(Rec.Reconciled == Device.softwareFailureMap());
 }
 
 // Pool transitions are write-ahead logged: DRAM borrows and perfect-stock

@@ -136,11 +136,6 @@ TEST(FailureBufferTest, DeviceStallProtocolUnderSaturation) {
   EXPECT_EQ(Device.stats().StallEvents, 1u);
   EXPECT_EQ(Device.pendingFailures().size(), 2u);
 
-  // Forced wear-outs honour the same protocol instead of overflowing.
-  EXPECT_FALSE(Device.forceFailLine(6));
-  EXPECT_EQ(Device.stats().ForcedFailures, 0u);
-  EXPECT_EQ(Device.pendingFailures().size(), 2u);
-
   // Draining one entry re-enables writes; the surviving record still
   // forwards its latched data.
   EXPECT_TRUE(Device.clearBufferEntry(addrOfLine(0)));

@@ -30,26 +30,21 @@ TEST(MetadataJournalTest, RecordRoundtrip) {
   MetadataJournal J(DS);
   J.recordLineFailure(3, 17);
   J.recordLedgerEntry(3, 17);
-  J.recordClusterRemap(2, 41, true);
   J.recordPoolTransition(PoolTransitionKind::DramBorrow, 5);
 
   JournalScan Scan = J.scan();
   EXPECT_EQ(Scan.TornTailBytes, 0u);
   EXPECT_EQ(Scan.ChecksumFailures, 0u);
-  ASSERT_EQ(Scan.Records.size(), 4u);
+  ASSERT_EQ(Scan.Records.size(), 3u);
 
   EXPECT_EQ(Scan.Records[0].Kind, JournalKind::FailureMapUpdate);
   EXPECT_EQ(Scan.Records[0].A, 3u);
   EXPECT_EQ(Scan.Records[0].Arg16, 17u);
   EXPECT_EQ(Scan.Records[1].Kind, JournalKind::LedgerEntry);
-  EXPECT_EQ(Scan.Records[2].Kind, JournalKind::ClusterRemap);
-  EXPECT_EQ(Scan.Records[2].A, 2u);
-  EXPECT_EQ(Scan.Records[2].Arg16, 41u);
-  EXPECT_EQ(Scan.Records[2].B, 1u);
-  EXPECT_EQ(Scan.Records[3].Kind, JournalKind::PoolTransition);
-  EXPECT_EQ(Scan.Records[3].Arg16,
+  EXPECT_EQ(Scan.Records[2].Kind, JournalKind::PoolTransition);
+  EXPECT_EQ(Scan.Records[2].Arg16,
             static_cast<uint16_t>(PoolTransitionKind::DramBorrow));
-  EXPECT_EQ(Scan.Records[3].A, 5u);
+  EXPECT_EQ(Scan.Records[2].A, 5u);
 
   // Device truth moved before the append.
   EXPECT_TRUE(DS->DeviceTruth.isFailed(3 * PcmLinesPerPage + 17));

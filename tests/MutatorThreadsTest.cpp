@@ -153,40 +153,6 @@ TEST(SafepointTest, WatchdogFailStopsWithAThreadDump) {
   EXPECT_EQ(SP.registeredThreads(), 0u);
 }
 
-TEST(SafepointTest, BackpressureStallRunsInsideBlockedRegionHooks) {
-  PcmDeviceConfig Config;
-  Config.NumPages = 4;
-  Config.FailureBufferCapacity = 4;
-  Config.MeanLineLifetime = 1000;
-  Config.LifetimeVariation = 0.0;
-  PcmDevice Device(Config);
-
-  // Latch two failures before any kernel exists, so the first write
-  // stalls on the near-full buffer and enters the drain-retry loop.
-  uint8_t Data[PcmLineSize] = {};
-  for (LineIndex Line : {0u, 1u}) {
-    Device.injectImminentFailure(Line);
-    EXPECT_EQ(Device.writeLine(Line, Data), WriteResult::Ok);
-  }
-  ASSERT_TRUE(Device.failureBuffer().nearFull());
-
-  OsKernel Kernel(Device);
-  Kernel.registerHandler([](const std::vector<FailureRecord> &) {});
-  unsigned Entered = 0, Left = 0;
-  Kernel.setBlockedRegionHooks([&] { ++Entered; }, [&] { ++Left; });
-
-  EXPECT_EQ(Kernel.writeWithBackpressure(addrOfLine(3), Data, PcmLineSize),
-            WriteResult::Ok);
-  EXPECT_EQ(Entered, 1u);
-  EXPECT_EQ(Left, 1u);
-
-  // A write that lands first try never enters the blocked region.
-  EXPECT_EQ(Kernel.writeWithBackpressure(addrOfLine(2), Data, PcmLineSize),
-            WriteResult::Ok);
-  EXPECT_EQ(Entered, 1u);
-  EXPECT_EQ(Left, 1u);
-}
-
 TEST(SafepointTest, CrossThreadInterruptsSerializeOnTheHandlerMutex) {
   PcmDeviceConfig Config;
   Config.NumPages = 4;

@@ -76,7 +76,7 @@ TEST(OsTest, PerfectServedFromPcmThenDram) {
   EXPECT_EQ(Os.stats().PerfectPcmServed, Stock);
 }
 
-TEST(OsTest, RelaxedDivertsPerfectPagesToRepayDebt) {
+TEST(OsTest, RelaxedRequestRepaysDebtFromRecycledStock) {
   FailureAwareOs Os(64, uniformFailures(0.0));
   // Exhaust the perfect stock via fussy requests is impossible at f=0
   // (every page is perfect), so create debt artificially by draining the
@@ -183,7 +183,6 @@ public:
       Debt -= Use;
       PerfectStock -= Use;
       Stats.DebtRepaid += Use;
-      Stats.PerfectDivertedToStock += Use;
       if (Use == C.NumPages) {
         PerfectFreeList.pop_back();
       } else {
@@ -228,7 +227,6 @@ public:
         --PerfectUnconsumed;
         --Debt;
         ++Stats.DebtRepaid;
-        ++Stats.PerfectDivertedToStock;
         continue;
       }
       Chosen.push_back(Page);
@@ -356,7 +354,6 @@ void expectSameStats(const OsStats &A, const OsStats &B,
   EXPECT_EQ(A.PerfectRecycledServed, B.PerfectRecycledServed) << Step;
   EXPECT_EQ(A.DramBorrowed, B.DramBorrowed) << Step;
   EXPECT_EQ(A.DebtRepaid, B.DebtRepaid) << Step;
-  EXPECT_EQ(A.PerfectDivertedToStock, B.PerfectDivertedToStock) << Step;
   EXPECT_EQ(A.PerfectPagesReturned, B.PerfectPagesReturned) << Step;
 }
 } // namespace
@@ -770,66 +767,4 @@ TEST(OsKernelTest, ReentrantFailureStaysBufferedUntilTheHandlerLoops) {
   EXPECT_TRUE(Device.pendingFailures().empty());
   EXPECT_TRUE(Device.softwareFailureMap().isFailed(5));
   EXPECT_TRUE(Device.softwareFailureMap().isFailed(9));
-}
-
-TEST(OsKernelTest, WriteWithBackpressureDrainsAStalledBuffer) {
-  PcmDeviceConfig Config;
-  Config.NumPages = 4;
-  Config.FailureBufferCapacity = 4; // Near-full at 2 with reserve 2.
-  Config.MeanLineLifetime = 1000;
-  Config.LifetimeVariation = 0.0;
-  PcmDevice Device(Config);
-
-  // Latch two failures before any kernel exists, so the buffer sits at
-  // the stall threshold with nobody having drained it.
-  uint8_t Data[PcmLineSize] = {};
-  for (LineIndex Line : {0u, 1u}) {
-    Device.injectImminentFailure(Line);
-    EXPECT_EQ(Device.writeLine(Line, Data), WriteResult::Ok);
-  }
-  EXPECT_TRUE(Device.failureBuffer().nearFull());
-
-  OsKernel Kernel(Device);
-  Kernel.registerHandler([](const std::vector<FailureRecord> &) {});
-  // The plain device write would return Stalled; backpressure drains and
-  // retries until it lands.
-  EXPECT_EQ(Kernel.writeWithBackpressure(addrOfLine(3), Data, PcmLineSize),
-            WriteResult::Ok);
-  EXPECT_GE(Kernel.stats().StallRetries, 1u);
-  EXPECT_EQ(Kernel.stats().StallDrainFailures, 0u);
-  EXPECT_TRUE(Device.pendingFailures().empty());
-}
-
-TEST(OsKernelTest, BackpressureGivesUpWhenTheDrainPathIsBusy) {
-  PcmDeviceConfig Config;
-  Config.NumPages = 4;
-  Config.FailureBufferCapacity = 4;
-  Config.MeanLineLifetime = 1000;
-  Config.LifetimeVariation = 0.0;
-  PcmDevice Device(Config);
-  uint8_t Data[PcmLineSize] = {};
-  for (LineIndex Line : {0u, 1u}) {
-    Device.injectImminentFailure(Line);
-    EXPECT_EQ(Device.writeLine(Line, Data), WriteResult::Ok);
-  }
-
-  OsKernel Kernel(Device);
-  int Calls = 0;
-  WriteResult Inner = WriteResult::Ok;
-  Kernel.registerHandler([&](const std::vector<FailureRecord> &) {
-    if (Calls++ != 0)
-      return;
-    // A write issued from inside the failure handler finds the buffer
-    // still near-full, and the drain path cannot re-enter: the bounded
-    // retry budget must expire cleanly instead of spinning or crashing.
-    Inner = Kernel.writeWithBackpressure(addrOfLine(3), Data, PcmLineSize);
-  });
-  Kernel.handleFailures();
-
-  EXPECT_EQ(Inner, WriteResult::Stalled);
-  EXPECT_EQ(Kernel.stats().StallRetries, OsKernel::MaxStallRetries);
-  EXPECT_EQ(Kernel.stats().StallDrainFailures, 1u);
-  // Once the handler returned, the outer loop drained everything.
-  EXPECT_TRUE(Device.pendingFailures().empty());
-  EXPECT_EQ(Calls, 1);
 }

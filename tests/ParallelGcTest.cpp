@@ -16,8 +16,6 @@
 #include "gc/GcWorkers.h"
 #include "gc/Heap.h"
 #include "gc/HeapAuditor.h"
-#include "os/OsKernel.h"
-#include "pcm/PcmDevice.h"
 
 #include <gtest/gtest.h>
 
@@ -25,7 +23,6 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <thread>
 #include <vector>
 
@@ -361,42 +358,4 @@ TEST(ParallelGcTest, BudgetedDrainsNeverStrandASpinner) {
   Finished = true;
   Watchdog.join();
   EXPECT_GT(Steps.load(), 0u);
-}
-
-//===----------------------------------------------------------------------===//
-// OS upcall gating (the kernel side of the mid-mark deferral)
-//===----------------------------------------------------------------------===//
-
-TEST(ParallelGcTest, UpcallGateDefersInterruptsUntilReleased) {
-  PcmDeviceConfig Config;
-  Config.NumPages = 4;
-  Config.MeanLineLifetime = 100;
-  Config.LifetimeVariation = 0.0;
-  PcmDevice Device(Config);
-  OsKernel Kernel(Device);
-
-  unsigned UpCalls = 0;
-  Kernel.registerHandler(
-      [&](const std::vector<FailureRecord> &) { ++UpCalls; });
-
-  bool InGc = true;
-  Kernel.setUpcallGate([&] { return InGc; });
-
-  Device.injectImminentFailure(5);
-  uint8_t Data[PcmLineSize];
-  std::memset(Data, 0xAB, sizeof(Data));
-  EXPECT_EQ(Device.writeLine(5, Data), WriteResult::Ok);
-
-  // Gated: the interrupt stayed buffered, nothing reached the runtime.
-  EXPECT_EQ(UpCalls, 0u);
-  EXPECT_EQ(Kernel.stats().DeferredInterrupts, 1u);
-  EXPECT_EQ(Device.pendingFailures().size(), 1u);
-
-  // Gate released (collection over): the next service call drains the
-  // buffered failure through the normal upcall path.
-  InGc = false;
-  Kernel.handleFailures();
-  EXPECT_EQ(UpCalls, 1u);
-  EXPECT_EQ(Kernel.stats().FailuresResolved, 1u);
-  EXPECT_TRUE(Device.pendingFailures().empty());
 }

@@ -676,12 +676,8 @@ void printJson(const SoakOptions &Opt, const SoakOutcome &Out,
   W.value(Out.Campaign.Firings);
   W.key("lines_failed");
   W.value(Out.Campaign.LinesFailed);
-  W.key("device_lines_failed");
-  W.value(Out.Campaign.DeviceLinesFailed);
   W.key("dry_firings");
   W.value(Out.Campaign.DryFirings);
-  W.key("replay_misses");
-  W.value(Out.Campaign.ReplayMisses);
   W.key("escalations");
   W.value(Out.Campaign.Escalations);
   W.close();
@@ -1140,8 +1136,6 @@ int runCrashCampaign(const SoakOptions &Opt, const Profile &P,
     W.value(R.Report.DeviceOnlyLines);
     W.key("divergences");
     W.value(R.Report.Divergences);
-    W.key("cluster_remaps");
-    W.value(R.Report.ClusterRemaps);
     W.key("pool_transitions");
     W.value(R.Report.PoolTransitions);
     W.key("ledger_entries");
