@@ -1290,8 +1290,10 @@ bool Heap::overlapsFailedLine(Block *B, const uint8_t *Obj,
                               size_t Size) const {
   unsigned First = B->lineOf(Obj);
   unsigned Last = B->lineOf(Obj + Size - 1);
+  // Parallel mark workers call this while others mark lines of the same
+  // block.
   for (unsigned Line = First; Line <= Last; ++Line)
-    if (B->lineIsFailed(Line))
+    if (B->lineIsFailedAtomic(Line))
       return true;
   return false;
 }

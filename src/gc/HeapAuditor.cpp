@@ -9,8 +9,9 @@
 #include "gc/Heap.h"
 
 #include <algorithm>
+#include <cassert>
 #include <cstdio>
-#include <unordered_set>
+#include <numeric>
 
 namespace wearmem {
 
@@ -32,9 +33,74 @@ void HeapAuditor::expectPinned(const uint8_t *Obj) {
       PinRecord{stampOf(Obj), /*External=*/true, H.stats().GcCount};
 }
 
+//===----------------------------------------------------------------------===//
+// Pass scratch
+//===----------------------------------------------------------------------===//
+
+void HeapAuditor::AddressTable::reset() {
+  // Small heaps keep small scratch. A fleet tenant's table doubles three
+  // or four times in its first pass; starting it at 32k or 64k slots
+  // made whole serve set-up calls slower, not faster.
+  constexpr unsigned MinSlotsLog2 = 12;
+  if (Keys.empty()) {
+    Keys.assign(size_t(1) << MinSlotsLog2, nullptr);
+    Values.resize(Keys.size());
+    Shift = 64 - MinSlotsLog2;
+  } else {
+    std::fill(Keys.begin(), Keys.end(), nullptr);
+  }
+  Count = 0;
+}
+
+size_t HeapAuditor::AddressTable::find(const uint8_t *Key) const {
+  // Fibonacci hashing of the 8-byte granule: neighbouring objects land
+  // far apart, and the top bits index the table.
+  size_t Mask = Keys.size() - 1;
+  size_t Slot = static_cast<size_t>(
+      ((reinterpret_cast<uintptr_t>(Key) >> 3) * 0x9E3779B97F4A7C15ULL) >>
+      Shift);
+  while (Keys[Slot] && Keys[Slot] != Key)
+    Slot = (Slot + 1) & Mask;
+  return Slot;
+}
+
+std::pair<uint32_t, bool>
+HeapAuditor::AddressTable::insert(const uint8_t *Key, uint32_t Value) {
+  size_t Slot = find(Key);
+  if (Keys[Slot])
+    return {Values[Slot], false};
+  if (2 * (Count + 1) > Keys.size()) {
+    // Double and rehash; values travel with their keys.
+    std::vector<const uint8_t *> OldKeys(Keys.size() * 2, nullptr);
+    std::vector<uint32_t> OldValues(OldKeys.size());
+    OldKeys.swap(Keys);
+    OldValues.swap(Values);
+    --Shift;
+    for (size_t I = 0; I != OldKeys.size(); ++I)
+      if (OldKeys[I]) {
+        size_t To = find(OldKeys[I]);
+        Keys[To] = OldKeys[I];
+        Values[To] = OldValues[I];
+      }
+    Slot = find(Key);
+  }
+  Keys[Slot] = Key;
+  Values[Slot] = Value;
+  ++Count;
+  return {Value, true};
+}
+
+bool HeapAuditor::AddressTable::contains(const uint8_t *Key) const {
+  return Keys[find(Key)] != nullptr;
+}
+
+void HeapAuditor::collectLosObjects() {
+  LosObjects.reset();
+  H.Los.forEachObject([&](ObjRef Obj) { LosObjects.insert(Obj); });
+}
+
 AuditReport HeapAuditor::audit() {
   AuditReport Report;
-  Reachable.clear();
   checkObjectGraph(Report);
   if (H.Immix) {
     checkLineStateVsFailureWords(Report);
@@ -123,11 +189,15 @@ uint64_t HeapAuditor::digest(bool HashPayload) {
   // Layer A: every Immix block in creation order - state, line counters
   // and the raw line-mark bytes. This is what the sharded sweep and the
   // atomic line marking must reproduce exactly.
-  std::unordered_map<const Block *, uint64_t> BlockOrdinal;
   if (H.Immix) {
-    uint64_t Idx = 0;
+    uint32_t Idx = 0;
     H.Immix->forEachBlock([&](const Block &B) {
-      BlockOrdinal.emplace(&B, Idx);
+      if (Idx == 0)
+        FirstBlockSeq = B.creationSeq();
+      size_t Slot = static_cast<size_t>(B.creationSeq() - FirstBlockSeq);
+      if (Slot >= BlockOrdinals.size())
+        BlockOrdinals.resize(Slot + 1);
+      BlockOrdinals[Slot] = Idx;
       Mix(Idx++);
       Mix(static_cast<uint64_t>(B.state()));
       Mix(B.freeLines());
@@ -143,15 +213,24 @@ uint64_t HeapAuditor::digest(bool HashPayload) {
   // (block ordinal, in-block offset), never by virtual address, so two
   // heaps in different address spaces digest equal; references fold in
   // as the target's ordinal, which pins the whole graph shape.
-  std::unordered_map<const uint8_t *, uint64_t> Ordinal;
-  std::vector<const uint8_t *> Order;
+  collectLosObjects();
+  Seen.reset();
+  Work.clear();
+  auto Discover = [&](const uint8_t *Obj) {
+    assert(Work.size() < UINT32_MAX && "discovery ordinals are 32-bit");
+    auto [Ordinal, Inserted] =
+        Seen.insert(Obj, static_cast<uint32_t>(Work.size()));
+    if (Inserted)
+      Work.push_back(Obj);
+    return Ordinal;
+  };
   for (ObjRef Root : H.Roots) {
     Mix(Root ? 1 : 0);
-    if (Root && Ordinal.emplace(Root, Order.size()).second)
-      Order.push_back(Root);
+    if (Root)
+      Discover(Root);
   }
-  for (size_t Head = 0; Head != Order.size(); ++Head) {
-    const uint8_t *Obj = Order[Head];
+  for (size_t Head = 0; Head != Work.size(); ++Head) {
+    const uint8_t *Obj = Work[Head];
     uint32_t Size = objectSize(Obj);
     uint16_t NumRefs = objectNumRefs(Obj);
     Mix(Head);
@@ -164,9 +243,9 @@ uint64_t HeapAuditor::digest(bool HashPayload) {
         H.Immix ? H.Immix->blockOf(Obj) : nullptr;
     if (B) {
       Mix(1);
-      Mix(BlockOrdinal[B]);
+      Mix(BlockOrdinals[B->creationSeq() - FirstBlockSeq]);
       Mix(static_cast<uint64_t>(Obj - B->base()));
-    } else if (H.Los.contains(Obj)) {
+    } else if (LosObjects.contains(Obj)) {
       Mix(2); // LOS placement is content-addressed only.
     } else {
       Mix(3); // Free-list space: ordinal identity only.
@@ -178,10 +257,7 @@ uint64_t HeapAuditor::digest(bool HashPayload) {
         Mix(~uint64_t(0));
         continue;
       }
-      auto [It, Inserted] = Ordinal.emplace(Ref, Order.size());
-      if (Inserted)
-        Order.push_back(Ref);
-      Mix(It->second);
+      Mix(Discover(Ref));
     }
 
     if (HashPayload) {
@@ -202,18 +278,22 @@ uint64_t HeapAuditor::digest(bool HashPayload) {
 
 void HeapAuditor::checkObjectGraph(AuditReport &Report) {
   char Buf[160];
-  std::unordered_set<const uint8_t *> Visited;
-  std::vector<const uint8_t *> Stack;
+  if (H.Immix)
+    collectLosObjects();
+  Seen.reset();
+  Work.clear();
+  Extents.clear();
+  ReachablePinned.clear();
   for (ObjRef Root : H.Roots)
-    if (Root && Visited.insert(Root).second)
-      Stack.push_back(Root);
+    if (Root && Seen.insert(Root))
+      Work.push_back(Root);
 
-  std::vector<std::pair<uintptr_t, uint32_t>> Extents;
-  while (!Stack.empty()) {
-    const uint8_t *Obj = Stack.back();
-    Stack.pop_back();
+  while (!Work.empty()) {
+    const uint8_t *Obj = Work.back();
+    Work.pop_back();
     ++Report.ObjectsVisited;
-    Reachable.push_back(Obj);
+    if (objectHasFlag(Obj, FlagPinned))
+      ReachablePinned.push_back(Obj);
 
     if (reinterpret_cast<uintptr_t>(Obj) % ObjectAlignment != 0) {
       std::snprintf(Buf, sizeof(Buf), "misaligned object address %p",
@@ -237,7 +317,7 @@ void HeapAuditor::checkObjectGraph(AuditReport &Report) {
                     static_cast<const void *>(Obj));
       note(Report, Buf);
     }
-    Extents.emplace_back(reinterpret_cast<uintptr_t>(Obj), Size);
+    Extents.push_back(reinterpret_cast<uintptr_t>(Obj));
 
     if (H.Immix) {
       if (Block *B = H.Immix->blockOf(Obj)) {
@@ -295,7 +375,8 @@ void HeapAuditor::checkObjectGraph(AuditReport &Report) {
             note(Report, Buf);
           }
         }
-      } else if (objectHasFlag(Obj, FlagLarge) && !H.Los.contains(Obj)) {
+      } else if (objectHasFlag(Obj, FlagLarge) &&
+                 !LosObjects.contains(Obj)) {
         std::snprintf(Buf, sizeof(Buf),
                       "large-flagged object %p unknown to the LOS",
                       static_cast<const void *>(Obj));
@@ -306,24 +387,47 @@ void HeapAuditor::checkObjectGraph(AuditReport &Report) {
     for (unsigned Slot = 0; Slot != NumRefs; ++Slot) {
       const uint8_t *Ref =
           *refSlot(const_cast<ObjRef>(Obj), Slot);
-      if (Ref && Visited.insert(Ref).second)
-        Stack.push_back(Ref);
+      if (Ref && Seen.insert(Ref))
+        Work.push_back(Ref);
     }
   }
 
   // No two reachable objects may overlap (the other observable half of
   // allocate-only-into-free-lines: a bump cursor that entered a live or
-  // failed hole shows up here).
-  std::sort(Extents.begin(), Extents.end());
-  for (size_t I = 1; I < Extents.size(); ++I)
-    if (Extents[I - 1].first + Extents[I - 1].second > Extents[I].first) {
+  // failed hole shows up here). Addresses are unique, so sorting them
+  // alone orders the extents: an LSD radix sort, one linear pass per
+  // address byte that differs between objects, which measured a third
+  // cheaper per audit than std::sort's n log n on fleet tenant heaps.
+  uintptr_t AnyBit = 0, EveryBit = ~uintptr_t(0);
+  for (uintptr_t Addr : Extents) {
+    AnyBit |= Addr;
+    EveryBit &= Addr;
+  }
+  uintptr_t Varying = AnyBit ^ EveryBit;
+  SortBuffer.resize(Extents.size());
+  for (unsigned Shift = 0; Shift < 64 && (Varying >> Shift) != 0;
+       Shift += 8) {
+    if (((Varying >> Shift) & 0xFF) == 0)
+      continue;
+    size_t Next[257] = {};
+    for (uintptr_t Addr : Extents)
+      ++Next[((Addr >> Shift) & 0xFF) + 1];
+    std::partial_sum(std::begin(Next), std::end(Next), std::begin(Next));
+    for (uintptr_t Addr : Extents)
+      SortBuffer[Next[(Addr >> Shift) & 0xFF]++] = Addr;
+    Extents.swap(SortBuffer);
+  }
+  for (size_t I = 1; I < Extents.size(); ++I) {
+    uint32_t PrevSize =
+        objectSize(reinterpret_cast<const uint8_t *>(Extents[I - 1]));
+    if (Extents[I - 1] + PrevSize > Extents[I]) {
       std::snprintf(Buf, sizeof(Buf),
                     "objects overlap: %p (%u bytes) and %p",
-                    reinterpret_cast<const void *>(Extents[I - 1].first),
-                    Extents[I - 1].second,
-                    reinterpret_cast<const void *>(Extents[I].first));
+                    reinterpret_cast<const void *>(Extents[I - 1]),
+                    PrevSize, reinterpret_cast<const void *>(Extents[I]));
       note(Report, Buf);
     }
+  }
 
   // LOS-wide sanity (zombies excepted: they were relocated and await
   // their sweep).
@@ -593,11 +697,7 @@ void HeapAuditor::checkTlabInvariants(AuditReport &Report) {
 
 void HeapAuditor::checkPinStability(AuditReport &Report) {
   char Buf[160];
-  std::unordered_set<const uint8_t *> Live(Reachable.begin(),
-                                           Reachable.end());
-  for (const uint8_t *Obj : Reachable) {
-    if (!objectHasFlag(Obj, FlagPinned))
-      continue;
+  for (const uint8_t *Obj : ReachablePinned) {
     auto [It, Inserted] = PinnedWatch.insert(
         {Obj, PinRecord{stampOf(Obj), false, H.stats().GcCount}});
     if (!Inserted) {
@@ -626,7 +726,7 @@ void HeapAuditor::checkPinStability(AuditReport &Report) {
     }
   }
   for (auto It = PinnedWatch.begin(); It != PinnedWatch.end();) {
-    if (Live.count(It->first)) {
+    if (Seen.contains(It->first)) {
       ++It;
       continue;
     }

@@ -34,6 +34,21 @@
 /// The auditor never aborts; it returns a report. Heap::verifyIntegrity
 /// wraps it with the old abort-on-violation behaviour for tests.
 ///
+/// Cost. Both graph walks are linear in the reachable set and allocate
+/// nothing per object: the visited set (with digest()'s discovery
+/// ordinals) is a flat open-addressing table of addresses, block
+/// ordinals are a vector indexed by creation sequence, LOS membership is
+/// a second flat table filled from the LOS once per pass, and the
+/// overlap check radix-sorts plain addresses and reads each size back
+/// from its header. On a fleet tenant's heap (12-20k reachable objects,
+/// one CPU of a shared 4-vCPU host) a warm digest() costs about
+/// 120-180 ns per reachable object, about half of it the FNV-1a mixing
+/// of one dependent multiply per byte, and audit() about 90-150 ns,
+/// mostly the walk's reads of scattered headers. A fresh auditor's
+/// first pass adds the table's doublings. The scratch lives in the
+/// auditor and is emptied, not freed, between passes, so a digest()
+/// followed by an audit() on one auditor reuses the first pass's tables.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef WEARMEM_GC_HEAPAUDITOR_H
@@ -44,6 +59,7 @@
 #include <cstdint>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 namespace wearmem {
@@ -98,8 +114,34 @@ private:
     uint64_t ConfirmedAtGc = 0;
   };
 
+  /// A map from object address to a 32-bit value: open addressing with
+  /// linear probing over a power-of-two slot array kept at most half
+  /// full, so an insert or lookup costs a multiply and a probe or two,
+  /// and allocates only when the table doubles. A null key marks an
+  /// empty slot (objects are never at address 0). reset() empties the
+  /// table and keeps its slots for the next pass.
+  class AddressTable {
+  public:
+    void reset();
+    /// Inserts \p Key with \p Value if absent. Returns the value stored
+    /// for \p Key and whether this call inserted it.
+    std::pair<uint32_t, bool> insert(const uint8_t *Key, uint32_t Value);
+    /// Inserts \p Key as a set member; true if it was absent.
+    bool insert(const uint8_t *Key) { return insert(Key, 0).second; }
+    bool contains(const uint8_t *Key) const;
+
+  private:
+    size_t find(const uint8_t *Key) const;
+
+    std::vector<const uint8_t *> Keys;
+    std::vector<uint32_t> Values;
+    size_t Count = 0;
+    unsigned Shift = 64;
+  };
+
   static uint64_t stampOf(const uint8_t *Obj);
   static void note(AuditReport &Report, std::string Msg);
+  void collectLosObjects();
   void checkObjectGraph(AuditReport &Report);
   void checkLineStateVsFailureWords(AuditReport &Report);
   void checkLedgerAndOsMaps(AuditReport &Report);
@@ -112,8 +154,27 @@ private:
   /// seen. Persistent across audits (keep one auditor alive in soak
   /// mode).
   std::unordered_map<const uint8_t *, PinRecord> PinnedWatch;
-  /// Reachable set of the current audit pass (shared between checks).
-  std::vector<const uint8_t *> Reachable;
+
+  /// Scratch of one pass, kept (emptied) for the next pass on this
+  /// auditor. The walk's visited set; digest() keeps each object's
+  /// discovery ordinal in it, and audit()'s pin check reads it as the
+  /// reachable set.
+  AddressTable Seen;
+  /// The walk's frontier: digest()'s BFS queue, audit()'s DFS stack.
+  std::vector<const uint8_t *> Work;
+  /// Every LOS object, so placing an object costs no LOS hash probe.
+  AddressTable LosObjects;
+  /// Block ordinals (creation order among held blocks), indexed by
+  /// creationSeq() - FirstBlockSeq. Creation sequences are unique and
+  /// never reused; slots of released blocks are never read.
+  std::vector<uint32_t> BlockOrdinals;
+  uint64_t FirstBlockSeq = 0;
+  /// Addresses of reachable objects with sound headers, sorted for the
+  /// overlap check (each size is read back from the header).
+  std::vector<uintptr_t> Extents;
+  std::vector<uintptr_t> SortBuffer;
+  /// Reachable pinned objects in visit order.
+  std::vector<const uint8_t *> ReachablePinned;
 
   static constexpr size_t MaxViolations = 32;
 };

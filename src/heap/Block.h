@@ -132,6 +132,15 @@ public:
     return LineMarks[Line] == LineFailed;
   }
 
+  /// lineIsFailed for the parallel mark phase, where other workers store
+  /// line marks with markLineAtomic. A relaxed load suffices: no line
+  /// fails mid-mark, so the answer cannot change under the reader (on
+  /// x86 this is the same plain load).
+  bool lineIsFailedAtomic(unsigned Line) const {
+    return std::atomic_ref<uint8_t>(const_cast<uint8_t &>(LineMarks[Line]))
+               .load(std::memory_order_relaxed) == LineFailed;
+  }
+
   /// The number of lines whose mark byte equals \p Value (fault
   /// campaigns census live lines with it), eight marks per step.
   unsigned countLinesMarked(uint8_t Value) const;

@@ -223,24 +223,23 @@ std::optional<PageGrant> FailureAwareOs::allocRelaxed(size_t NumPages) {
   }
 
   // Returned *perfect* block-aligned chunks may serve relaxed block
-  // requests, but only when no debt is outstanding: with debt, perfect
-  // stock is reserved for fussy use (which is what repays the borrow).
-  if (Debt == 0) {
-    for (size_t I = 0; I != PerfectFreeList.size(); ++I) {
-      FreeChunk &Chunk = PerfectFreeList[I];
-      if (Chunk.NumPages != NumPages || !chunkIsAligned(Chunk))
-        continue;
-      PageGrant Recycled;
-      Recycled.Mem = Chunk.Mem;
-      Recycled.NumPages = NumPages;
-      Recycled.FailWords.assign(NumPages, 0);
-      // Chunk splitting and coalescing lose page identity.
-      PerfectStock -= NumPages;
-      PerfectFreeList.erase(PerfectFreeList.begin() +
-                            static_cast<ptrdiff_t>(I));
-      Stats.RelaxedPagesGranted += NumPages;
-      return Recycled;
-    }
+  // requests. No debt can be outstanding here: the repayment above stops
+  // with debt left only once the perfect stock is empty, so whatever
+  // stock remains is free to serve.
+  for (size_t I = 0; I != PerfectFreeList.size(); ++I) {
+    FreeChunk &Chunk = PerfectFreeList[I];
+    if (Chunk.NumPages != NumPages || !chunkIsAligned(Chunk))
+      continue;
+    PageGrant Recycled;
+    Recycled.Mem = Chunk.Mem;
+    Recycled.NumPages = NumPages;
+    Recycled.FailWords.assign(NumPages, 0);
+    // Chunk splitting and coalescing lose page identity.
+    PerfectStock -= NumPages;
+    PerfectFreeList.erase(PerfectFreeList.begin() +
+                          static_cast<ptrdiff_t>(I));
+    Stats.RelaxedPagesGranted += NumPages;
+    return Recycled;
   }
 
   // Every page below Cursor is consumed, so the walk below sees exactly

@@ -316,8 +316,9 @@ ServeResult wearmem::runServe(const ServeOptions &Opt) {
     T.FailedLinesDynamic = St.Shard->runtime().stats().FailedLinesDynamic;
     T.CarvePages = Dir.carvePages(K);
     T.FinalMode = degradationModeName(St.Shard->mode());
-    T.Digest = St.Shard->digest();
-    T.AuditPassed = St.Shard->auditClean();
+    ShardHarvest Harvest = St.Shard->harvest();
+    T.Digest = Harvest.Digest;
+    T.AuditPassed = Harvest.AuditPassed;
     T.Sojourn = Rec.sojournSummary(K);
     T.Wall = Rec.wallSummary(K);
   }

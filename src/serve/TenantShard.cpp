@@ -113,16 +113,19 @@ SessionReceipt TenantShard::serve(uint64_t RequestIndex, uint64_t NowUs) {
   return R;
 }
 
-uint64_t TenantShard::digest() {
+void TenantShard::finishPendingRecovery() {
   if (Rt->heap().pendingFailureRecovery() && !Rt->outOfMemory())
     Rt->collect(true);
-  HeapAuditor Auditor(Rt->heap());
-  return Auditor.digest();
 }
 
-bool TenantShard::auditClean() {
-  if (Rt->heap().pendingFailureRecovery() && !Rt->outOfMemory())
-    Rt->collect(true);
+ShardHarvest TenantShard::harvest() {
   HeapAuditor Auditor(Rt->heap());
-  return Auditor.audit().passed();
+  ShardHarvest Out;
+  finishPendingRecovery();
+  Out.Digest = Auditor.digest();
+  // The recovery collection can drain failures that parked during its
+  // mark phase, leaving a recovery pending again.
+  finishPendingRecovery();
+  Out.AuditPassed = Auditor.audit().passed();
+  return Out;
 }

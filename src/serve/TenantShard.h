@@ -73,6 +73,12 @@ struct SessionReceipt {
   uint64_t VirtualServiceUs = 0;
 };
 
+/// What TenantShard::harvest reports.
+struct ShardHarvest {
+  uint64_t Digest = 0;
+  bool AuditPassed = false; ///< True when the heap is sound.
+};
+
 class TenantShard {
 public:
   TenantShard(const TenantShardConfig &Config, ShardDirectory &Dir);
@@ -95,14 +101,15 @@ public:
   DegradationMode mode() const { return Rt->heap().degradationMode(); }
   bool outOfMemory() const { return Rt->outOfMemory(); }
 
-  /// Position-independent heap digest (finishing any deferred failure
-  /// recovery first, so the digest is a pure function of the event
-  /// stream rather than of recovery timing).
-  uint64_t digest();
-  /// Full structural audit; true when the heap is sound.
-  bool auditClean();
+  /// The end-of-run checks on one auditor: the position-independent heap
+  /// digest, then the full structural audit. Any deferred failure
+  /// recovery is finished first, so the digest is a pure function of
+  /// the event stream rather than of recovery timing.
+  ShardHarvest harvest();
 
 private:
+  void finishPendingRecovery();
+
   TenantShardConfig Config;
   ShardDirectory &Dir;
   std::unique_ptr<Runtime> Rt;
