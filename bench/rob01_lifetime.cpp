@@ -86,30 +86,6 @@ LifetimeOptions makeCell(CollectorKind Collector, AdversaryKind Adversary,
   return Opt;
 }
 
-/// Everything the determinism gate compares: the full deterministic
-/// content of a cell (wall times never enter LifetimeResult).
-bool cellsEqual(const LifetimeResult &A, const LifetimeResult &B) {
-  if (A.Survived != B.Survived || A.Dnf != B.Dnf ||
-      A.WearLinesInjected != B.WearLinesInjected ||
-      A.MonotoneDegradation != B.MonotoneDegradation ||
-      A.Curve.size() != B.Curve.size())
-    return false;
-  for (size_t I = 0; I != A.Curve.size(); ++I) {
-    const LifetimeCheckpoint &Ca = A.Curve[I];
-    const LifetimeCheckpoint &Cb = B.Curve[I];
-    if (Ca.WearLinesInjected != Cb.WearLinesInjected ||
-        Ca.FailedLinesDynamic != Cb.FailedLinesDynamic ||
-        Ca.BlocksRetired != Cb.BlocksRetired ||
-        Ca.GcCount != Cb.GcCount || Ca.AllocBytes != Cb.AllocBytes ||
-        Ca.RefusedAllocs != Cb.RefusedAllocs || Ca.Mode != Cb.Mode ||
-        Ca.Recoveries != Cb.Recoveries)
-      return false;
-  }
-  return A.Milestones.Throttled == B.Milestones.Throttled &&
-         A.Milestones.Emergency == B.Milestones.Emergency &&
-         A.Milestones.Dnf == B.Milestones.Dnf;
-}
-
 DegradationMode maxMode(const LifetimeResult &R) {
   DegradationMode Max = DegradationMode::Normal;
   for (const LifetimeCheckpoint &C : R.Curve)
@@ -157,7 +133,7 @@ int main(int argc, char **argv) {
       LifetimeOptions Opt = makeCell(Collector, Adversary, Seed, Scale);
       LifetimeResult R = runLifetime(*P, Opt);
       LifetimeResult Rerun = runLifetime(*P, Opt);
-      if (!cellsEqual(R, Rerun)) {
+      if (!sameLifetime(R, Rerun)) {
         ++Mismatches;
         std::printf("MISMATCH: %s/%s rerun diverges\n",
                     cli::collectorFlagName(Collector),

@@ -8,6 +8,7 @@
 #include "gc/Heap.h"
 
 #include "obs/Hooks.h"
+#include "support/RadixSort.h"
 
 #include "gc/ConcurrentMarker.h"
 #include "gc/HeapAuditor.h"
@@ -18,8 +19,6 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
-#include <iterator>
-#include <numeric>
 #include <unordered_set>
 
 using namespace wearmem;
@@ -514,21 +513,13 @@ void Heap::runCollection(CollectionKind Kind) {
 // marked set identical between them.
 bool Heap::claimEdge(ObjRef Target, unsigned Wk, bool Full,
                      MarkWorkList &WorkList) {
-  uint64_t Word = objectWord0Acquire(Target);
-  // Reachable slots point at forwarded objects only after a large-object
-  // relocation; chase (word1 is stable all phase), and report the slot.
-  bool Forwarded = false;
-  while (word0Flags(Word) & FlagForwarded) {
-    Target = forwardee(Target);
-    Word = objectWord0Acquire(Target);
-    Forwarded = true;
-  }
   uint64_t ClaimedWord;
   if (!tryClaimObjectMark(Target, Epoch, ClaimedWord)) {
     // Another edge claimed it, but this slot needs a fixup all the same
     // if the target is about to move.
-    if (Forwarded || !Full || !Immix || (word0Flags(Word) & FlagLarge))
-      return Forwarded;
+    if (!Full || !Immix ||
+        (word0Flags(objectWord0Acquire(Target)) & FlagLarge))
+      return false;
     return Immix->blockOf(Target)->evacuating();
   }
   MarkWorker &MW = MarkWorkers[Wk];
@@ -537,13 +528,13 @@ bool Heap::claimEdge(ObjRef Target, unsigned Wk, bool Full,
   MW.Claimed.push_back(Target);
 #endif
   uint8_t Flags = word0Flags(ClaimedWord);
-  bool MayMove = Forwarded;
+  bool MayMove = false;
   if (Immix && !(Flags & FlagLarge)) {
     Block *B = Immix->blockOf(Target);
     assert(B && "unmanaged address reached the tracer");
     size_t Size = word0Size(ClaimedWord);
     bool Pinned = (Flags & FlagPinned) != 0;
-    MayMove |= B->evacuating();
+    MayMove = B->evacuating();
     // Every nursery survivor is a copy candidate (Sticky Immix).
     bool WantCopy = !Full || B->evacuating();
     if (WantCopy && !Pinned) {
@@ -634,13 +625,9 @@ void Heap::openCollection(bool Full) {
     // statistics.
     if (Immix)
       Immix->selectDefragCandidates();
-    // The mutation log is superseded by the full trace. Entries are
-    // chased through forwarding before the flag clear: a large-object
-    // relocation between collections forwards the logged husk, and
-    // clearing only the husk would strand a set logged flag on the live
-    // copy - silently disabling its write barrier for good.
+    // The mutation log is superseded by the full trace.
     for (ObjRef Logged : ModBuf)
-      clearObjectFlag(finalCopy(Logged), FlagLogged);
+      clearObjectFlag(Logged, FlagLogged);
     ModBuf.clear();
   } else {
     ++Stats.NurseryGcCount;
@@ -815,29 +802,15 @@ void Heap::evacuatePhase() {
   // heap instances; the creation sequence and offset depend only on the
   // allocation history, which is what makes post-GC digests comparable
   // across worker counts and across processes. The claim packed both
-  // into each candidate's key, so the sort needs no block lookups: an
-  // LSD radix sort, one linear pass per key byte in use, which beats a
-  // comparison sort's n log n on the few thousand candidates of a
-  // defragmenting collection. Keys are unique, so the order is total.
+  // into each candidate's key, so the sort needs no block lookups: a
+  // radix sort beats a comparison sort's n log n on the few thousand
+  // candidates of a defragmenting collection. Keys are unique, so the
+  // order is total.
   auto Sorted = [this](std::vector<Candidate> MarkWorker::*List) {
-    std::vector<Candidate> All;
-    uint64_t KeyBits = 0;
+    std::vector<Candidate> All, Scratch;
     for (MarkWorker &MW : MarkWorkers)
-      for (const Candidate &C : MW.*List) {
-        All.push_back(C);
-        KeyBits |= C.Key;
-      }
-    std::vector<Candidate> Pass(All.size());
-    for (unsigned Shift = 0; Shift < 64 && (KeyBits >> Shift) != 0;
-         Shift += 8) {
-      size_t Next[257] = {};
-      for (const Candidate &C : All)
-        ++Next[((C.Key >> Shift) & 0xFF) + 1];
-      std::partial_sum(std::begin(Next), std::end(Next), std::begin(Next));
-      for (const Candidate &C : All)
-        Pass[Next[(C.Key >> Shift) & 0xFF]++] = C;
-      All.swap(Pass);
-    }
+      All.insert(All.end(), (MW.*List).begin(), (MW.*List).end());
+    radixSortByKey(All, Scratch, [](const Candidate &C) { return C.Key; });
     return All;
   };
   for (const Candidate &C : Sorted(&MarkWorker::EvacCandidates)) {
@@ -1196,11 +1169,10 @@ void Heap::drainDeferredFailures() {
 #ifdef WEARMEM_EXPENSIVE_CHECKS
 void Heap::verifyMarkOracle() {
   // Serial differential oracle for the parallel mark phase: re-trace
-  // the reachable graph read-only (it runs between mark and evacuation,
-  // so no forwarding exists for this epoch yet) and check that exactly
-  // the claimable closure was claimed. The seeds are the roots plus,
-  // for a nursery collection, the mutation log the close has yet to
-  // consume (a full open already emptied it).
+  // the reachable graph read-only and check that exactly the claimable
+  // closure was claimed. The seeds are the roots plus, for a nursery
+  // collection, the mutation log the close has yet to consume (a full
+  // open already emptied it).
   std::unordered_set<const uint8_t *> Claimed;
   for (MarkWorker &MW : MarkWorkers)
     for (ObjRef Obj : MW.Claimed)
@@ -1208,7 +1180,15 @@ void Heap::verifyMarkOracle() {
   std::unordered_set<const uint8_t *> Visited;
   std::vector<ObjRef> Stack;
   auto Push = [&](ObjRef Obj) {
-    Obj = finalCopy(Obj);
+    // Objects move only in evacuation, and the oracle runs between mark
+    // and evacuation: a reachable forwarded object is a reference the
+    // last collection's fixup missed.
+    if (isForwarded(Obj)) {
+      std::fprintf(stderr,
+                   "reachable object %p is forwarded before evacuation\n",
+                   static_cast<void *>(Obj));
+      std::abort();
+    }
     if (objectMark(Obj) != Epoch) {
       std::fprintf(stderr,
                    "parallel mark missed reachable object %p\n",
@@ -1441,46 +1421,6 @@ void Heap::injectDynamicFailureBatch(const std::vector<uint8_t *> &Addrs,
   // Fresh wear may have crossed a ladder threshold even without a
   // collection (the collect paths above refresh at the close).
   updateDegradationMode();
-}
-
-void Heap::injectDynamicFailureOnLarge(ObjRef Obj) {
-  ++Stats.DynamicFailuresHandled;
-  WEARMEM_COUNT_DET("los.relocations");
-  WEARMEM_TRACE(LosRelocate, objectSize(Obj), 0);
-  assert(objectHasFlag(Obj, FlagLarge) && "not a large object");
-  if (objectHasFlag(Obj, FlagPinned)) {
-    ++Stats.PinnedFailurePageRemaps;
-    return;
-  }
-  // An open paced cycle's fixup rewrites only the slots its trace and
-  // barrier recorded, and a slot scanned before the husk appears is in
-  // neither, so the cycle closes first (a no-op when none is open).
-  finishIncrementalMarkCycle();
-  ObjRef NewObj = Los.relocate(Obj);
-  if (!NewObj) {
-    collect(CollectionKind::Full);
-    NewObj = Los.relocate(Obj);
-    if (!NewObj) {
-      OutOfMemory = true;
-      Dnf = classifyExhaustion(/*WantedPerfect=*/true);
-      updateDegradationMode();
-      return;
-    }
-  }
-  // The relocation memcpy carries the whole header, logged flag
-  // included: retarget the mutation-log entry at the live copy so the
-  // flag and the log stay in sync. Left alone, the full collection
-  // below would chase-and-clear the husk's entry while the copy kept a
-  // set flag with no log entry - permanently disabling its write
-  // barrier, so a later old-to-young store would be invisible to
-  // nursery collections.
-  if (objectHasFlag(NewObj, FlagLogged))
-    for (ObjRef &Logged : ModBuf)
-      if (Logged == Obj)
-        Logged = NewObj;
-  // Fix every reference to the relocated object; the zombie pages return
-  // at this collection's sweep.
-  collect(CollectionKind::Full);
 }
 
 //===----------------------------------------------------------------------===//

@@ -204,12 +204,12 @@ public:
   ///     trace order nor on where the host placed the blocks;
   ///  3. parallel fixup - proportional to what may have moved: each
   ///     worker rewrites the slots its scans recorded as naming an
-  ///     object in an evacuating block (or an already forwarded one),
-  ///     rechecking each slot's current value. Every object is scanned
-  ///     by one worker, so the writes are disjoint. An Immix nursery
-  ///     collection copies every young survivor and so rescans its
-  ///     scanned objects whole instead. A paced cycle's barrier-recorded
-  ///     stores and the roots follow serially.
+  ///     object in an evacuating block, rechecking each slot's current
+  ///     value. Every object is scanned by one worker, so the writes
+  ///     are disjoint. An Immix nursery collection copies every young
+  ///     survivor and so rescans its scanned objects whole instead. A
+  ///     paced cycle's barrier-recorded stores and the roots follow
+  ///     serially.
 
   /// Test hook: invoked once per collection (or paced cycle), by the
   /// collecting thread, just after the open enters the mark phase and
@@ -300,10 +300,6 @@ public:
   /// True while dynamically failed lines await their defragmenting
   /// collection (objects may still sit on failed lines until then).
   bool pendingFailureRecovery() const { return PendingFailureRecovery; }
-
-  /// Relocates a large object hit by a dynamic failure, then fixes
-  /// references with a full collection.
-  void injectDynamicFailureOnLarge(ObjRef Obj);
 
   /// Binds the crash-consistency journal: dynamic failures, emergency
   /// page remaps, and pool transitions are write-ahead logged in budget
@@ -401,7 +397,7 @@ private:
   /// order) after the phase.
   struct MarkWorker {
     /// Slots this worker's scans found naming an object that may move:
-    /// one in an evacuating block, or one already forwarded when read.
+    /// one in an evacuating block of a full collection.
     std::vector<SlotRef> FixupSlots;
     /// Objects whose every slot the fixup rewrites: an Immix nursery
     /// collection's scanned set (it copies every young survivor) and, on
@@ -444,12 +440,13 @@ private:
   void evacuatePhase();
   void fixupPhase();
   void sweepPhase();
-  /// Claims \p Target for the trace (chasing forwarding, CAS-marking,
-  /// recording evacuation/remap candidacy) and queues it for scanning.
-  /// Shared by the stop-the-world mark phase and the incremental steps.
-  /// Returns true if a slot holding \p Target may need a fixup: the
-  /// target was forwarded or, in a full collection, lies in an
-  /// evacuating block - whether or not this call won the claim.
+  /// Claims \p Target for the trace (CAS-marking, recording
+  /// evacuation/remap candidacy) and queues it for scanning. Shared by
+  /// the stop-the-world mark phase and the incremental steps. Objects
+  /// are forwarded only between a collection's evacuation and its sweep,
+  /// so \p Target is never forwarded. Returns true if a slot holding
+  /// \p Target may need a fixup: in a full collection, the target lies
+  /// in an evacuating block - whether or not this call won the claim.
   bool claimEdge(ObjRef Target, unsigned Wk, bool Full,
                  MarkWorkList &WorkList);
   /// Scans a claimed object's reference slots through claimEdge,

@@ -7,11 +7,11 @@
 
 #include "gc/HeapAuditor.h"
 #include "gc/Heap.h"
+#include "support/RadixSort.h"
 
 #include <algorithm>
 #include <cassert>
 #include <cstdio>
-#include <numeric>
 
 namespace wearmem {
 
@@ -395,28 +395,10 @@ void HeapAuditor::checkObjectGraph(AuditReport &Report) {
   // No two reachable objects may overlap (the other observable half of
   // allocate-only-into-free-lines: a bump cursor that entered a live or
   // failed hole shows up here). Addresses are unique, so sorting them
-  // alone orders the extents: an LSD radix sort, one linear pass per
-  // address byte that differs between objects, which measured a third
-  // cheaper per audit than std::sort's n log n on fleet tenant heaps.
-  uintptr_t AnyBit = 0, EveryBit = ~uintptr_t(0);
-  for (uintptr_t Addr : Extents) {
-    AnyBit |= Addr;
-    EveryBit &= Addr;
-  }
-  uintptr_t Varying = AnyBit ^ EveryBit;
-  SortBuffer.resize(Extents.size());
-  for (unsigned Shift = 0; Shift < 64 && (Varying >> Shift) != 0;
-       Shift += 8) {
-    if (((Varying >> Shift) & 0xFF) == 0)
-      continue;
-    size_t Next[257] = {};
-    for (uintptr_t Addr : Extents)
-      ++Next[((Addr >> Shift) & 0xFF) + 1];
-    std::partial_sum(std::begin(Next), std::end(Next), std::begin(Next));
-    for (uintptr_t Addr : Extents)
-      SortBuffer[Next[(Addr >> Shift) & 0xFF]++] = Addr;
-    Extents.swap(SortBuffer);
-  }
+  // alone orders the extents: a radix sort measured a third cheaper per
+  // audit than std::sort's n log n on fleet tenant heaps.
+  radixSortByKey(Extents, SortBuffer,
+                 [](uintptr_t Addr) { return uint64_t(Addr); });
   for (size_t I = 1; I < Extents.size(); ++I) {
     uint32_t PrevSize =
         objectSize(reinterpret_cast<const uint8_t *>(Extents[I - 1]));
@@ -429,11 +411,8 @@ void HeapAuditor::checkObjectGraph(AuditReport &Report) {
     }
   }
 
-  // LOS-wide sanity (zombies excepted: they were relocated and await
-  // their sweep).
+  // LOS-wide sanity.
   H.Los.forEachObject([&](ObjRef Obj) {
-    if (isForwarded(Obj))
-      return;
     uint32_t Size = objectSize(Obj);
     uint16_t NumRefs = objectNumRefs(Obj);
     if (Size < MinObjectBytes || Size % ObjectAlignment != 0 ||

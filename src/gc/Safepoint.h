@@ -91,9 +91,6 @@ public:
   /// Mutator side: acks and parks if a stop request is pending. Returns
   /// true if the thread parked. Unregistered threads return false.
   bool pollAndPark();
-  /// True while a stop request is published (cheap, racy peek for poll
-  /// placement; pollAndPark re-checks under the lock).
-  bool stopRequested() const { return StopRequested.load(std::memory_order_relaxed); }
 
   /// Brackets an unbounded stall (a turnstile wait).
   /// Safe to call from unregistered threads (no-op). leaveBlockedRegion

@@ -487,23 +487,6 @@ Block *ImmixSpace::takePerfectFree() {
   return createBlock(std::move(*Grant));
 }
 
-size_t ImmixSpace::ordinalOf(const Block &B) const {
-  std::lock_guard<std::mutex> Lock(RegistryMu);
-  auto It = std::lower_bound(
-      Blocks.begin(), Blocks.end(), B.creationSeq(),
-      [](const std::unique_ptr<Block> &Held, uint64_t Seq) {
-        return Held->creationSeq() < Seq;
-      });
-  assert(It != Blocks.end() && It->get() == &B &&
-         "ordinalOf: block not held by this space");
-  return static_cast<size_t>(It - Blocks.begin());
-}
-
-Block *ImmixSpace::blockAt(size_t Ordinal) const {
-  std::lock_guard<std::mutex> Lock(RegistryMu);
-  return Ordinal < Blocks.size() ? Blocks[Ordinal].get() : nullptr;
-}
-
 void ImmixSpace::selectDefragCandidates() {
   // Copy headroom: the free lines of every block still on the free and
   // recycle lists. Evacuation may target recyclable holes (hole lookup

@@ -239,19 +239,6 @@ public:
   /// against a concurrent TLAB refill growing the space (see BlockTable).
   Block *blockOf(const uint8_t *Addr) const { return Table.lookup(Addr); }
 
-  /// \name Block ordinals
-  /// A block's ordinal is its position among the blocks currently held,
-  /// in creation order - a function of the allocation history alone, so
-  /// it names the same block across heap instances. Both take
-  /// RegistryMu.
-  /// @{
-  /// The ordinal of \p B, which must be held by this space (binary
-  /// search over the creation sequence numbers).
-  size_t ordinalOf(const Block &B) const;
-  /// The block at \p Ordinal, or nullptr past the end.
-  Block *blockAt(size_t Ordinal) const;
-  /// @}
-
   /// Chooses defragmentation candidates for a full collection: blocks
   /// with fresh dynamic failures always; otherwise the most fragmented
   /// recyclable blocks, bounded by available copy headroom.
@@ -289,7 +276,9 @@ public:
   /// Retired blocks still held (their pages are lost capacity).
   size_t retiredBlockCount() const { return RetiredCount; }
 
-  /// Iterates all blocks (diagnostics and candidate selection).
+  /// Iterates all held blocks in creation order (strictly increasing
+  /// creationSeq()), which depends on the allocation history alone: the
+  /// audit digest's block ordinals count along it.
   template <typename Fn> void forEachBlock(Fn F) {
     for (auto &B : Blocks)
       F(*B);

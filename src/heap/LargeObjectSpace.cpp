@@ -29,7 +29,7 @@ uint8_t *LargeObjectSpace::alloc(size_t Size) {
   std::memset(Mem, 0, Pages * PcmPageSize);
   PagesHeld += Pages;
   Nodes.emplace(reinterpret_cast<uintptr_t>(Mem),
-                LosNode{std::move(*Grant), NextSeq++, false});
+                LosNode{std::move(*Grant), NextSeq++});
   return Mem;
 }
 
@@ -52,13 +52,10 @@ void LargeObjectSpace::sweep(uint8_t Epoch, const GcParallelFor &Par) {
     Addrs.push_back(Addr);
   std::vector<uint8_t> Dead(Addrs.size(), 0);
   auto Classify = [&](size_t I) {
-    const LosNode &N = Nodes.find(Addrs[I])->second;
-    ObjRef Obj = reinterpret_cast<ObjRef>(Addrs[I]);
-    Dead[I] = N.Zombie || objectMark(Obj) != Epoch;
+    Dead[I] = objectMark(reinterpret_cast<ObjRef>(Addrs[I])) != Epoch;
   };
-  // The liveness probe is read-only on the node table and the headers;
-  // only sharding it is worthwhile (the frees mutate the OS pool and
-  // stay serial, in allocation order).
+  // The liveness probe only reads headers, so it shards across workers;
+  // the frees mutate the OS pool and stay serial, in allocation order.
   if (Par && Addrs.size() >= 64)
     Par(Addrs.size(), Classify);
   else
@@ -72,26 +69,4 @@ void LargeObjectSpace::sweep(uint8_t Epoch, const GcParallelFor &Par) {
     Os.freePerfect(std::move(It->second.Grant));
     Nodes.erase(It);
   }
-}
-
-ObjRef LargeObjectSpace::relocate(ObjRef Obj) {
-  assert(Nodes.count(reinterpret_cast<uintptr_t>(Obj)) != 0 &&
-         "relocating a non-LOS object");
-  assert(!objectHasFlag(Obj, FlagPinned) && "cannot relocate pinned object");
-  size_t Size = objectSize(Obj);
-  size_t Pages = divCeil(Size, PcmPageSize);
-  if (!Gate(Pages))
-    return nullptr;
-  std::optional<PageGrant> Grant = Os.allocPerfect(Pages);
-  if (!Grant)
-    return nullptr;
-  uint8_t *NewMem = Grant->Mem;
-  std::memcpy(NewMem, Obj, Size);
-  PagesHeld += Pages;
-  Nodes.emplace(reinterpret_cast<uintptr_t>(NewMem),
-                LosNode{std::move(*Grant), NextSeq++, false});
-  forwardObject(Obj, NewMem);
-  // Re-find after the emplace: insertion may rehash the table.
-  Nodes.find(reinterpret_cast<uintptr_t>(Obj))->second.Zombie = true;
-  return NewMem;
 }

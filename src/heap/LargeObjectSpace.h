@@ -7,11 +7,11 @@
 ///
 /// \file
 /// The large object space: objects at or above the large-object threshold
-/// are allocated on their own page runs and never moved by regular
-/// collection. LOS allocation is *fussy* - it needs contiguous perfect
-/// pages - which is why Figure 9(b) tracks perfect-page demand: without
-/// clustering and under many failures, large-object-heavy workloads (like
-/// xalan) lean hard on borrowed perfect pages.
+/// are allocated on their own page runs and never moved. LOS allocation
+/// is *fussy* - it needs contiguous perfect pages - which is why Figure
+/// 9(b) tracks perfect-page demand: without clustering and under many
+/// failures, large-object-heavy workloads (like xalan) lean hard on
+/// borrowed perfect pages.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -49,12 +49,6 @@ public:
   /// read-only liveness probe across GC workers; the frees stay serial.
   void sweep(uint8_t Epoch, const GcParallelFor &Par = {});
 
-  /// Copies a large object to fresh pages (dynamic-failure relocation),
-  /// leaving a forwarding pointer; the old pages are reclaimed when the
-  /// following collection's reference fixup completes. Returns nullptr if
-  /// no pages are available.
-  ObjRef relocate(ObjRef Obj);
-
   /// True if \p Obj is a live node of this space.
   bool contains(const uint8_t *Obj) const {
     return Nodes.count(reinterpret_cast<uintptr_t>(Obj)) != 0;
@@ -73,8 +67,6 @@ private:
     PageGrant Grant;
     /// Allocation sequence number: the canonical sweep order.
     uint64_t Seq = 0;
-    /// Relocated away; the grant is freed at the next sweep.
-    bool Zombie = false;
   };
 
   FailureAwareOs &Os;

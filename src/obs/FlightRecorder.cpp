@@ -7,7 +7,6 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cstring>
 #include <memory>
 #include <mutex>
 
@@ -52,8 +51,6 @@ const char *eventKindName(EventKind K) {
     return "evacuation";
   case EventKind::DynamicFailureBatch:
     return "dynamic_failure_batch";
-  case EventKind::LosRelocate:
-    return "los_relocate";
   case EventKind::CampaignFiring:
     return "campaign_firing";
   case EventKind::SnapshotTaken:
@@ -285,48 +282,6 @@ bool FlightRecorder::exportChromeTrace(const std::string &Path) const {
   exportChromeTrace(Out);
   fclose(Out);
   return true;
-}
-
-bool FlightRecorder::dumpBinary(const std::string &Path,
-                                size_t MaxEvents) const {
-  std::vector<TraceEvent> Events = collect();
-  if (Events.size() > MaxEvents)
-    Events.erase(Events.begin(),
-                 Events.end() - static_cast<ptrdiff_t>(MaxEvents));
-  FILE *Out = fopen(Path.c_str(), "wb");
-  if (!Out)
-    return false;
-  const char Magic[4] = {'W', 'M', 'F', 'R'};
-  uint32_t Version = 1;
-  uint64_t Count = Events.size();
-  bool Ok = fwrite(Magic, 1, 4, Out) == 4 &&
-            fwrite(&Version, sizeof(Version), 1, Out) == 1 &&
-            fwrite(&Count, sizeof(Count), 1, Out) == 1;
-  if (Ok && Count)
-    Ok = fwrite(Events.data(), sizeof(TraceEvent), Events.size(), Out) ==
-         Events.size();
-  fclose(Out);
-  return Ok;
-}
-
-std::vector<TraceEvent> FlightRecorder::readBinary(const std::string &Path) {
-  std::vector<TraceEvent> Events;
-  FILE *In = fopen(Path.c_str(), "rb");
-  if (!In)
-    return Events;
-  char Magic[4] = {};
-  uint32_t Version = 0;
-  uint64_t Count = 0;
-  if (fread(Magic, 1, 4, In) == 4 && std::memcmp(Magic, "WMFR", 4) == 0 &&
-      fread(&Version, sizeof(Version), 1, In) == 1 && Version == 1 &&
-      fread(&Count, sizeof(Count), 1, In) == 1 && Count <= (1u << 24)) {
-    Events.resize(Count);
-    if (Count &&
-        fread(Events.data(), sizeof(TraceEvent), Count, In) != Count)
-      Events.clear();
-  }
-  fclose(In);
-  return Events;
 }
 
 } // namespace obs

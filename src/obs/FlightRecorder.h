@@ -9,13 +9,9 @@
 /// Lock-free flight recorder: each thread appends fixed-size typed events
 /// to its own bounded ring, so recording never blocks, never allocates
 /// after ring creation, and keeps only the most recent window per thread.
-/// Two export paths:
-///
-///  * exportChromeTrace - Chrome trace_event JSON, loadable in
-///    chrome://tracing or Perfetto; GC phases become B/E duration pairs,
-///    everything else instants.
-///  * dumpBinary - a small raw dump ("WMFR") for post-mortem inspection
-///    after a fail-stop, when spending time pretty-printing is wrong.
+/// exportChromeTrace writes the retained events as Chrome trace_event
+/// JSON, loadable in chrome://tracing or Perfetto; GC phases become B/E
+/// duration pairs, everything else instants.
 ///
 /// Events carry two uint64 payload words whose meaning depends on the
 /// kind (documented per enumerator). Timestamps are wall-clock and
@@ -58,7 +54,6 @@ enum class EventKind : uint16_t {
   PhaseEnd,
   Evacuation,          ///< A = object size in bytes.
   DynamicFailureBatch, ///< A = lines in batch, B = deferred (1) or not (0).
-  LosRelocate,         ///< A = object size in bytes.
   // Fault injection. A = campaign shape, B = cumulative firings.
   CampaignFiring,
   SnapshotTaken, ///< A = gc count at capture.
@@ -74,16 +69,14 @@ enum class EventKind : uint16_t {
 
 const char *eventKindName(EventKind K);
 
-/// One recorded event; 32 bytes, stored verbatim in the binary dump.
+/// One recorded event.
 struct TraceEvent {
   uint64_t TsNs = 0; ///< Nanoseconds since recorder start.
   uint64_t A = 0;
   uint64_t B = 0;
   uint16_t Kind = 0;
   uint16_t Tid = 0; ///< Recorder-assigned thread index.
-  uint32_t Pad = 0;
 };
-static_assert(sizeof(TraceEvent) == 32, "binary dump format is 32B events");
 
 class FlightRecorder {
 public:
@@ -107,12 +100,6 @@ public:
   /// Chrome trace_event JSON to \p Out / \p Path (false on open failure).
   void exportChromeTrace(FILE *Out) const;
   bool exportChromeTrace(const std::string &Path) const;
-
-  /// Raw bounded dump of the \p MaxEvents most recent events.
-  bool dumpBinary(const std::string &Path,
-                  size_t MaxEvents = DefaultCapacity) const;
-  /// Reads a dumpBinary file back; empty on malformed input.
-  static std::vector<TraceEvent> readBinary(const std::string &Path);
 
 private:
   FlightRecorder() = default;

@@ -97,53 +97,6 @@ public:
 
   bool none() const { return !any(); }
 
-  /// Index of the first set bit at or after \p From, or size() if none.
-  size_t findNextSet(size_t From) const {
-    if (From >= NumBits)
-      return NumBits;
-    size_t WordIdx = From / 64;
-    uint64_t Word = Words[WordIdx] & (~uint64_t(0) << (From % 64));
-    while (true) {
-      if (Word != 0) {
-        size_t Bit = WordIdx * 64 +
-                     static_cast<size_t>(std::countr_zero(Word));
-        return Bit < NumBits ? Bit : NumBits;
-      }
-      if (++WordIdx >= Words.size())
-        return NumBits;
-      Word = Words[WordIdx];
-    }
-  }
-
-  /// Index of the first clear bit at or after \p From, or size() if none.
-  size_t findNextClear(size_t From) const {
-    if (From >= NumBits)
-      return NumBits;
-    size_t WordIdx = From / 64;
-    uint64_t Word = ~Words[WordIdx] & (~uint64_t(0) << (From % 64));
-    while (true) {
-      if (Word != 0) {
-        size_t Bit = WordIdx * 64 +
-                     static_cast<size_t>(std::countr_zero(Word));
-        return Bit < NumBits ? Bit : NumBits;
-      }
-      if (++WordIdx >= Words.size())
-        return NumBits;
-      Word = ~Words[WordIdx];
-    }
-  }
-
-  /// True if every bit set in \p Other is also set in this bitmap, i.e.
-  /// Other's failures are a subset of ours (the OS page-compatibility test
-  /// of Section 3.2.3).
-  bool containsAll(const Bitmap &Other) const {
-    assert(NumBits == Other.NumBits && "bitmap size mismatch");
-    for (size_t I = 0, E = Words.size(); I != E; ++I)
-      if ((Other.Words[I] & ~Words[I]) != 0)
-        return false;
-    return true;
-  }
-
   bool operator==(const Bitmap &Other) const {
     return NumBits == Other.NumBits && Words == Other.Words;
   }

@@ -162,11 +162,6 @@ void JsonWriter::valueHex(uint64_t V) {
   printf("\"0x%016llx\"", static_cast<unsigned long long>(V));
 }
 
-void JsonWriter::valueRaw(const char *Text) {
-  beginValue();
-  emit(Text);
-}
-
 void JsonWriter::lineBreak(unsigned Spaces) {
   BreakSpaces = static_cast<int>(Spaces);
 }

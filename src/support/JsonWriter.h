@@ -80,8 +80,6 @@ public:
   void valueF(double V, int Precision);
   /// Quoted "0x%016llx" (the digest format).
   void valueHex(uint64_t V);
-  /// Raw text spliced into value position verbatim.
-  void valueRaw(const char *Text);
   /// @}
 
   /// Forces the next separator in the current Inline container to be

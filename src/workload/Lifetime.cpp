@@ -139,6 +139,28 @@ LifetimeResult wearmem::runLifetime(const Profile &P,
   return R;
 }
 
+bool wearmem::sameLifetime(const LifetimeResult &A, const LifetimeResult &B) {
+  if (A.Survived != B.Survived || A.Dnf != B.Dnf ||
+      A.WearLinesInjected != B.WearLinesInjected ||
+      A.MonotoneDegradation != B.MonotoneDegradation ||
+      A.Curve.size() != B.Curve.size())
+    return false;
+  for (size_t I = 0; I != A.Curve.size(); ++I) {
+    const LifetimeCheckpoint &Ca = A.Curve[I];
+    const LifetimeCheckpoint &Cb = B.Curve[I];
+    if (Ca.WearLinesInjected != Cb.WearLinesInjected ||
+        Ca.FailedLinesDynamic != Cb.FailedLinesDynamic ||
+        Ca.BlocksRetired != Cb.BlocksRetired ||
+        Ca.GcCount != Cb.GcCount || Ca.AllocBytes != Cb.AllocBytes ||
+        Ca.RefusedAllocs != Cb.RefusedAllocs || Ca.Mode != Cb.Mode ||
+        Ca.Recoveries != Cb.Recoveries)
+      return false;
+  }
+  return A.Milestones.Throttled == B.Milestones.Throttled &&
+         A.Milestones.Emergency == B.Milestones.Emergency &&
+         A.Milestones.Dnf == B.Milestones.Dnf;
+}
+
 void wearmem::lifetimeToJson(JsonWriter &W, const Profile &P,
                              const LifetimeOptions &Opt,
                              const LifetimeResult &R) {

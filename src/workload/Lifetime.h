@@ -108,6 +108,10 @@ struct LifetimeResult {
 /// Runs one lifetime cell to completion or did-not-finish.
 LifetimeResult runLifetime(const Profile &P, const LifetimeOptions &Opt);
 
+/// True if rerun \p B reproduced cell \p A: equal in everything a
+/// determinism check compares (wall times never enter LifetimeResult).
+bool sameLifetime(const LifetimeResult &A, const LifetimeResult &B);
+
 /// Renders one cell as a JSON object (caller owns the surrounding
 /// document structure).
 void lifetimeToJson(JsonWriter &W, const Profile &P,

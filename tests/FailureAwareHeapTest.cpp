@@ -199,25 +199,6 @@ TEST(DynamicFailureTest, PinnedObjectTriggersPageRemap) {
   EXPECT_FALSE(B->lineIsFailed(B->lineOf(Addr)));
 }
 
-TEST(DynamicFailureTest, LargeObjectRelocation) {
-  RuntimeConfig Config;
-  Config.HeapBytes = 8 * MiB;
-  Runtime Rt(Config);
-  Handle Big = Rt.allocateRooted(64 * KiB, 0);
-  ASSERT_NE(Big.get(), nullptr);
-  uint8_t *Payload = objectPayload(Big.get());
-  for (size_t I = 0; I != 64 * KiB; ++I)
-    Payload[I] = static_cast<uint8_t>(I * 13);
-  uint8_t *Before = Big.get();
-
-  Rt.heap().injectDynamicFailureOnLarge(Big.get());
-  EXPECT_NE(Big.get(), Before);
-  Payload = objectPayload(Big.get());
-  for (size_t I = 0; I < 64 * KiB; I += 37)
-    ASSERT_EQ(Payload[I], static_cast<uint8_t>(I * 13));
-  Rt.heap().verifyIntegrity();
-}
-
 TEST(DynamicFailureTest, FreeListHeapFallsBackToPageCopy) {
   // Section 3.3.1: a non-moving free-list runtime cannot handle dynamic
   // failures; the OS must copy the page.

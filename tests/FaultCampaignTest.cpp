@@ -53,15 +53,14 @@ std::vector<std::pair<size_t, unsigned>> failedLineSet(Runtime &Rt) {
   return Out;
 }
 
-/// Every line in the heap's failure ledger as (block ordinal, byte offset),
-/// sorted.
-std::vector<std::pair<uint32_t, uint32_t>> ledgerLines(Runtime &Rt) {
+/// Every line in the heap's failure ledger as (block creation sequence,
+/// byte offset), sorted.
+std::vector<std::pair<uint64_t, uint32_t>> ledgerLines(Runtime &Rt) {
   ImmixSpace &Space = *Rt.heap().immixSpace();
-  std::vector<std::pair<uint32_t, uint32_t>> Out;
+  std::vector<std::pair<uint64_t, uint32_t>> Out;
   Rt.heap().failureLedger().forEach([&](uintptr_t Base, size_t Offset) {
     Block *B = Space.blockOf(reinterpret_cast<uint8_t *>(Base));
-    Out.emplace_back(static_cast<uint32_t>(Space.ordinalOf(*B)),
-                     static_cast<uint32_t>(Offset));
+    Out.emplace_back(B->creationSeq(), static_cast<uint32_t>(Offset));
   });
   std::sort(Out.begin(), Out.end());
   return Out;
@@ -247,20 +246,19 @@ TEST(FaultCampaignTest, SamplersPickTheReferenceVictims) {
                      " firing " + std::to_string(Firing));
         ImmixSpace &Space = *Rt.heap().immixSpace();
         Rng Reference = Campaign.rng();
-        std::vector<std::pair<uint32_t, uint32_t>> Expected;
+        std::vector<std::pair<uint64_t, uint32_t>> Expected;
         for (uint8_t *Addr : referenceSample(Space, Rt.heap().epoch(),
                                              (*Triggers)[0], Reference)) {
           Block *B = Space.blockOf(Addr);
-          Expected.emplace_back(
-              static_cast<uint32_t>(Space.ordinalOf(*B)),
-              static_cast<uint32_t>(Addr - B->base()));
+          Expected.emplace_back(B->creationSeq(),
+                                static_cast<uint32_t>(Addr - B->base()));
         }
         ASSERT_FALSE(Expected.empty());
         std::sort(Expected.begin(), Expected.end());
-        std::vector<std::pair<uint32_t, uint32_t>> Old = ledgerLines(Rt);
+        std::vector<std::pair<uint64_t, uint32_t>> Old = ledgerLines(Rt);
         ASSERT_TRUE(Campaign.pump());
-        std::vector<std::pair<uint32_t, uint32_t>> New = ledgerLines(Rt);
-        std::vector<std::pair<uint32_t, uint32_t>> Struck;
+        std::vector<std::pair<uint64_t, uint32_t>> New = ledgerLines(Rt);
+        std::vector<std::pair<uint64_t, uint32_t>> Struck;
         std::set_difference(New.begin(), New.end(), Old.begin(), Old.end(),
                             std::back_inserter(Struck));
         EXPECT_EQ(Struck, Expected);

@@ -176,30 +176,6 @@ TEST_P(CollectorTest, ManyFullCollectionsSurviveEpochWrap) {
   Rt.heap().verifyIntegrity();
 }
 
-TEST_P(CollectorTest, FieldFollowsRelocatedLargeObject) {
-  // The fixup rewrites only slots the trace recorded as naming an object
-  // that may move. A relocated large object is a forwarded husk when the
-  // trace reads the slot, and the holder's field - not a root - is the
-  // only way to reach it.
-  Runtime Rt(baseConfig(GetParam()));
-  Handle Holder = Rt.allocateRooted(8, 1);
-  ASSERT_NE(Holder.get(), nullptr);
-  ObjRef Large = Rt.allocate(8 * KiB, 0);
-  ASSERT_NE(Large, nullptr);
-  ASSERT_TRUE(objectHasFlag(Large, FlagLarge));
-  payloadWord(Large) = 0x1A26E;
-  Rt.writeRef(Holder.get(), 0, Large);
-  Rt.collect(true); // Holder and Large are old for the sticky collectors.
-
-  Rt.heap().injectDynamicFailureOnLarge(Runtime::readRef(Holder.get(), 0));
-  ObjRef After = Runtime::readRef(Holder.get(), 0);
-  ASSERT_NE(After, nullptr);
-  EXPECT_NE(After, Large) << "a movable large object must relocate";
-  EXPECT_FALSE(isForwarded(After)) << "the field still names the husk";
-  EXPECT_EQ(payloadWord(After), 0x1A26Eu);
-  Rt.heap().verifyIntegrity();
-}
-
 INSTANTIATE_TEST_SUITE_P(
     AllCollectors, CollectorTest,
     ::testing::Values(CollectorKind::MarkSweep, CollectorKind::Immix,
@@ -267,42 +243,6 @@ TEST(StickyTest, NurserySurvivorsAreCopied) {
   // Sticky Immix opportunistically copies nursery survivors.
   EXPECT_NE(Kept.get(), Before);
   EXPECT_GT(Rt.stats().ObjectsEvacuated, 0u);
-}
-
-TEST(StickyTest, RelocatedLargeObjectKeepsWriteBarrierLive) {
-  // Regression: LOS relocation memcpys the whole header, FlagLogged
-  // included. The mutation-log entry used to keep pointing at the husk,
-  // so the full collection inside injectDynamicFailureOnLarge cleared
-  // the husk's flag while the live copy kept a set flag with no log
-  // entry - permanently disabling its write barrier and making a later
-  // old-to-young store invisible to nursery collections.
-  Runtime Rt(baseConfig(CollectorKind::StickyImmix));
-  Handle Large = Rt.allocateRooted(8 * KiB, 1);
-  ASSERT_NE(Large.get(), nullptr);
-  ASSERT_TRUE(objectHasFlag(Large.get(), FlagLarge));
-  Rt.collect(true); // Make it old.
-  // Mutating the old object logs it (FlagLogged + mutation buffer).
-  Rt.writeRef(Large.get(), 0, nullptr);
-  ASSERT_TRUE(objectHasFlag(Large.get(), FlagLogged));
-
-  ObjRef Before = Large.get();
-  Rt.heap().injectDynamicFailureOnLarge(Large.get());
-  ObjRef After = Large.get();
-  ASSERT_NE(After, nullptr);
-  EXPECT_NE(After, Before) << "failure on a movable large object must relocate";
-  // The internal full collection drained the log; a surviving set flag
-  // on the copy would be exactly the stale state this test guards.
-  EXPECT_FALSE(objectHasFlag(After, FlagLogged));
-
-  ObjRef Young = Rt.allocate(8, 0);
-  ASSERT_NE(Young, nullptr);
-  payloadWord(Young) = 424242;
-  Rt.writeRef(After, 0, Young);
-  Rt.collect(false); // Nursery: only the barrier log keeps Young alive.
-  ObjRef Fetched = Runtime::readRef(Large.get(), 0);
-  ASSERT_NE(Fetched, nullptr);
-  EXPECT_EQ(payloadWord(Fetched), 424242u);
-  Rt.heap().verifyIntegrity();
 }
 
 //===----------------------------------------------------------------------===//

@@ -202,48 +202,6 @@ TEST_F(ObsTest, CollectOrdersEventsByTimestamp) {
     EXPECT_GE(Events[I].TsNs, Events[I - 1].TsNs);
 }
 
-TEST_F(ObsTest, BinaryDumpRoundTrips) {
-  obs::enable(obs::TraceDomain);
-  obs::FlightRecorder::record(obs::EventKind::WearFailure, 10, 20);
-  obs::FlightRecorder::record(obs::EventKind::PageRemap, 30, 40);
-  obs::FlightRecorder::record(obs::EventKind::GcBegin, 1, 1);
-  std::string Path = tempPath("obs_dump.bin");
-  ASSERT_TRUE(obs::FlightRecorder::instance().dumpBinary(Path));
-  std::vector<obs::TraceEvent> Back = obs::FlightRecorder::readBinary(Path);
-  ASSERT_EQ(Back.size(), 3u);
-  EXPECT_EQ(Back[0].Kind, static_cast<uint16_t>(obs::EventKind::WearFailure));
-  EXPECT_EQ(Back[0].A, 10u);
-  EXPECT_EQ(Back[0].B, 20u);
-  EXPECT_EQ(Back[1].Kind, static_cast<uint16_t>(obs::EventKind::PageRemap));
-  EXPECT_EQ(Back[2].Kind, static_cast<uint16_t>(obs::EventKind::GcBegin));
-  std::remove(Path.c_str());
-}
-
-TEST_F(ObsTest, BinaryDumpHonorsMaxEvents) {
-  obs::enable(obs::TraceDomain);
-  for (uint64_t I = 0; I != 50; ++I)
-    obs::FlightRecorder::record(obs::EventKind::BufferPush, I, 0);
-  std::string Path = tempPath("obs_dump_bounded.bin");
-  ASSERT_TRUE(obs::FlightRecorder::instance().dumpBinary(Path, 10));
-  std::vector<obs::TraceEvent> Back = obs::FlightRecorder::readBinary(Path);
-  ASSERT_EQ(Back.size(), 10u);
-  // Bounded dumps keep the most recent window, not the oldest.
-  EXPECT_EQ(Back.front().A, 40u);
-  EXPECT_EQ(Back.back().A, 49u);
-  std::remove(Path.c_str());
-}
-
-TEST_F(ObsTest, ReadBinaryRejectsMalformedFiles) {
-  std::string Path = tempPath("obs_not_a_dump.bin");
-  FILE *F = std::fopen(Path.c_str(), "wb");
-  ASSERT_NE(F, nullptr);
-  std::fputs("this is not a WMFR dump", F);
-  std::fclose(F);
-  EXPECT_TRUE(obs::FlightRecorder::readBinary(Path).empty());
-  std::remove(Path.c_str());
-  EXPECT_TRUE(obs::FlightRecorder::readBinary("/nonexistent/x.bin").empty());
-}
-
 TEST_F(ObsTest, ChromeTraceExportContainsRecordedEvents) {
   obs::enable(obs::TraceDomain);
   obs::FlightRecorder::record(obs::EventKind::GcBegin, 1, 1);

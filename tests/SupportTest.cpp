@@ -95,31 +95,10 @@ TEST(BitmapTest, SetGetClear) {
   EXPECT_EQ(Map.count(), 2u);
 }
 
-TEST(BitmapTest, FindNext) {
+TEST(BitmapTest, SetAllMasksTheTail) {
   Bitmap Map(200);
-  Map.set(5);
-  Map.set(70);
-  Map.set(199);
-  EXPECT_EQ(Map.findNextSet(0), 5u);
-  EXPECT_EQ(Map.findNextSet(6), 70u);
-  EXPECT_EQ(Map.findNextSet(71), 199u);
-  EXPECT_EQ(Map.findNextSet(200), 200u);
-  EXPECT_EQ(Map.findNextClear(5), 6u);
   Map.setAll();
-  EXPECT_EQ(Map.findNextClear(0), 200u);
   EXPECT_EQ(Map.count(), 200u);
-}
-
-TEST(BitmapTest, ContainsAll) {
-  Bitmap Super(64), Sub(64), Other(64);
-  Super.set(1);
-  Super.set(2);
-  Super.set(3);
-  Sub.set(2);
-  Other.set(9);
-  EXPECT_TRUE(Super.containsAll(Sub));
-  EXPECT_FALSE(Super.containsAll(Other));
-  EXPECT_TRUE(Super.containsAll(Super));
 }
 
 TEST(StatsTest, RunningStat) {

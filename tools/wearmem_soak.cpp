@@ -103,8 +103,7 @@ struct SoakOptions {
   /// JSON is printed serially in rep order after all workers join, so
   /// it is byte-identical for any --jobs value.
   unsigned Jobs = 1;
-  /// Chrome trace_event JSON path (empty = tracing off). A DNF also
-  /// dumps the raw rings to PATH.bin for post-mortem inspection.
+  /// Chrome trace_event JSON path (empty = tracing off).
   std::string TracePath;
   /// Metrics-registry JSON path (empty = metrics off).
   std::string MetricsOut;
@@ -201,8 +200,7 @@ void usage(FILE *Out, const char *Argv0) {
       "                        seeds seed..seed+N-1 (default 1)\n"
       "  --jobs N              threads to spread the repetitions over;\n"
       "                        output is byte-identical for any N\n"
-      "  --trace FILE          write a Chrome trace_event JSON (a DNF\n"
-      "                        also dumps raw rings to FILE.bin)\n"
+      "  --trace FILE          write a Chrome trace_event JSON\n"
       "  --metrics-out FILE    write the metrics-registry JSON\n"
       "  --snapshot-every N    heap snapshot every N GCs into the\n"
       "                        metrics file (single-run mode)\n"
@@ -1198,23 +1196,6 @@ LifetimeOptions makeLifetimeOptions(const SoakOptions &Opt,
   return L;
 }
 
-bool sameLifetime(const LifetimeResult &A, const LifetimeResult &B) {
-  if (A.Survived != B.Survived || A.Dnf != B.Dnf ||
-      A.WearLinesInjected != B.WearLinesInjected ||
-      A.Curve.size() != B.Curve.size())
-    return false;
-  for (size_t I = 0; I != A.Curve.size(); ++I) {
-    const LifetimeCheckpoint &X = A.Curve[I];
-    const LifetimeCheckpoint &Y = B.Curve[I];
-    if (X.AllocBytes != Y.AllocBytes || X.GcCount != Y.GcCount ||
-        X.FailedLinesDynamic != Y.FailedLinesDynamic ||
-        X.BlocksRetired != Y.BlocksRetired ||
-        X.RefusedAllocs != Y.RefusedAllocs || X.Mode != Y.Mode)
-      return false;
-  }
-  return true;
-}
-
 int runLifetimeMode(const SoakOptions &Opt, const Profile &P) {
   std::vector<CollectorKind> Collectors;
   if (Opt.CollectorExplicit)
@@ -1385,15 +1366,9 @@ int main(int Argc, char **Argv) {
                                    : 0;
   }
 
-  if (!Opt.TracePath.empty()) {
-    obs::FlightRecorder &FR = obs::FlightRecorder::instance();
-    if (!FR.exportChromeTrace(Opt.TracePath))
-      std::fprintf(stderr, "cannot write %s\n", Opt.TracePath.c_str());
-    // A did-not-finish keeps the raw rings too: the cheap dump survives
-    // even when pretty-printing would be the wrong place to spend time.
-    if (Rc == 2 && !FR.dumpBinary(Opt.TracePath + ".bin"))
-      std::fprintf(stderr, "cannot write %s.bin\n", Opt.TracePath.c_str());
-  }
+  if (!Opt.TracePath.empty() &&
+      !obs::FlightRecorder::instance().exportChromeTrace(Opt.TracePath))
+    std::fprintf(stderr, "cannot write %s\n", Opt.TracePath.c_str());
   if (!Opt.MetricsOut.empty() && writeMetricsFile(Opt, Snapshots) != 0)
     return 1;
   return Rc;
