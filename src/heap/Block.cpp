@@ -52,13 +52,10 @@ void Block::applyFailureWords(const uint64_t *FailWords, size_t NumPages) {
   PageFailWords.assign(FailWords, FailWords + NumPages);
   size_t PcmLinesPerImmixLine = LineBytes / PcmLineSize;
   for (size_t Page = 0; Page != NumPages; ++Page) {
-    uint64_t Word = FailWords[Page];
-    if (Word == 0)
-      continue;
-    for (size_t Bit = 0; Bit != PcmLinesPerPage; ++Bit) {
-      if (!(Word & (uint64_t(1) << Bit)))
-        continue;
-      size_t PcmLine = Page * PcmLinesPerPage + Bit;
+    // Visit only the set bits: clear the lowest each step.
+    for (uint64_t Word = FailWords[Page]; Word != 0; Word &= Word - 1) {
+      size_t PcmLine = Page * PcmLinesPerPage +
+                       static_cast<size_t>(std::countr_zero(Word));
       failLine(static_cast<unsigned>(PcmLine / PcmLinesPerImmixLine));
     }
   }

@@ -50,6 +50,14 @@ static uint32_t getLe32(const uint8_t *P) {
          (static_cast<uint32_t>(P[3]) << 24);
 }
 
+/// Un-fails budget page \p Page's lines in \p Map, clipped to the map.
+static void clearPage(FailureMap &Map, uint32_t Page) {
+  uint64_t First = static_cast<uint64_t>(Page) * PcmLinesPerPage;
+  if (First < Map.numLines())
+    Map.clearRange(First, std::min<uint64_t>(PcmLinesPerPage,
+                                             Map.numLines() - First));
+}
+
 void MetadataJournal::append(JournalKind Kind, uint16_t Arg16, uint32_t A,
                              uint32_t B) {
   uint8_t Cell[RecordSize];
@@ -105,10 +113,7 @@ void MetadataJournal::recordLedgerEntry(uint32_t BudgetPage,
 void MetadataJournal::recordPageRemap(uint32_t BudgetPage) {
   // The OS swapped in a perfect physical page: the budget slot's failed
   // lines are gone from the device's point of view.
-  uint64_t First = static_cast<uint64_t>(BudgetPage) * PcmLinesPerPage;
-  for (uint64_t I = 0; I != PcmLinesPerPage; ++I)
-    if (First + I < DS->DeviceTruth.numLines())
-      DS->DeviceTruth.clear(First + I);
+  clearPage(DS->DeviceTruth, BudgetPage);
   // Kill point between the physical remap and its journal record: a crash
   // here leaves the device ahead of the journal, which recovery resolves
   // by the device-wins rescan.
@@ -181,10 +186,7 @@ ReconcileResult wearmem::reconcileJournal(const JournalScan &Scan,
       ++R.PoolTransitions;
       if (static_cast<PoolTransitionKind>(Rec.Arg16) ==
           PoolTransitionKind::PageRemap) {
-        uint64_t First = static_cast<uint64_t>(Rec.A) * PcmLinesPerPage;
-        for (uint64_t I = 0; I != PcmLinesPerPage; ++I)
-          if (First + I < R.JournalView.numLines())
-            R.JournalView.clear(First + I);
+        clearPage(R.JournalView, Rec.A);
       }
       break;
     case JournalKind::DegradationTransition:

@@ -136,15 +136,10 @@ FailureAwareOs::FailureAwareOs(size_t PcmPages,
                                const FailureConfig &Failures,
                                size_t GrantAlignment)
     : BudgetMap(generateBudgetMap(PcmPages, Failures)),
-      PageWords(PcmPages), Consumed(PcmPages, false),
-      GrantAlignment(GrantAlignment) {
+      Consumed(PcmPages, false), GrantAlignment(GrantAlignment) {
   assert(isPowerOfTwo(GrantAlignment) &&
          "grant alignment must be a power of two");
-  for (size_t Page = 0; Page != PcmPages; ++Page) {
-    PageWords[Page] = BudgetMap.pageWord(Page);
-    if (PageWords[Page] == 0)
-      ++PerfectUnconsumed;
-  }
+  PerfectUnconsumed = BudgetMap.perfectPageCount();
   InitialPerfect = PerfectUnconsumed;
 }
 
@@ -178,7 +173,7 @@ uint8_t *FailureAwareOs::mapHostPages(size_t NumPages) {
 }
 
 size_t FailureAwareOs::remainingPages() const {
-  return PageWords.size() - ConsumedCount;
+  return BudgetMap.numPages() - ConsumedCount;
 }
 
 std::optional<PageGrant> FailureAwareOs::allocRelaxed(size_t NumPages) {
@@ -257,7 +252,7 @@ std::optional<PageGrant> FailureAwareOs::allocRelaxed(size_t NumPages) {
   // Walk the budget in address order, granting each unconsumed page
   // as-is, failure map included.
   std::vector<size_t> Chosen;
-  while (Chosen.size() != NumPages && Cursor != PageWords.size()) {
+  while (Chosen.size() != NumPages && Cursor != BudgetMap.numPages()) {
     size_t Page = Cursor++;
     if (!Consumed[Page])
       Chosen.push_back(Page);
@@ -265,11 +260,12 @@ std::optional<PageGrant> FailureAwareOs::allocRelaxed(size_t NumPages) {
   assert(Chosen.size() == NumPages && "the walk sees remainingPages()");
 
   for (size_t Page : Chosen) {
+    uint64_t Word = BudgetMap.pageWord(Page);
     Consumed[Page] = true;
     ++ConsumedCount;
-    if (PageWords[Page] == 0)
+    if (Word == 0)
       --PerfectUnconsumed;
-    Grant.FailWords.push_back(PageWords[Page]);
+    Grant.FailWords.push_back(Word);
     Grant.PageIds.push_back(static_cast<uint32_t>(Page));
   }
   Stats.RelaxedPagesGranted += NumPages;
@@ -327,10 +323,10 @@ std::optional<PageGrant> FailureAwareOs::allocPerfect(size_t NumPages,
   // possible (and stopping once none is left); borrow DRAM (with debt)
   // for the remainder.
   size_t FromPcm = 0;
-  for (size_t Page = PageWords.size();
+  for (size_t Page = BudgetMap.numPages();
        Page != 0 && FromPcm != NumPages && PerfectUnconsumed != 0;) {
     --Page;
-    if (!Consumed[Page] && PageWords[Page] == 0) {
+    if (!Consumed[Page] && BudgetMap.pageWord(Page) == 0) {
       Consumed[Page] = true;
       ++ConsumedCount;
       --PerfectUnconsumed;

@@ -175,8 +175,9 @@ private:
   /// it is full), or mapped on its own when larger than a chunk.
   uint8_t *mapHostPages(size_t NumPages);
 
+  /// The budget's failures, one word per page: the OS table that
+  /// grants copy their failure words from.
   FailureMap BudgetMap;
-  std::vector<uint64_t> PageWords;
   std::vector<bool> Consumed;
   /// Relaxed-allocation cursor into the page sequence.
   size_t Cursor = 0;

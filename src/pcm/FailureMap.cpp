@@ -8,14 +8,14 @@
 #include "pcm/FailureMap.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cmath>
 
 using namespace wearmem;
 
 /// Picks \p Want distinct indices out of [0, Total) and calls \p Fail on
-/// each. Uses Floyd's algorithm when the sample is sparse and a shuffle of
-/// a dense range otherwise; both are deterministic given the RNG.
+/// each, deterministically given the RNG.
 template <typename FailFn>
 static void sampleDistinct(size_t Total, size_t Want, Rng &Rand,
                            FailFn Fail) {
@@ -64,9 +64,7 @@ FailureMap FailureMap::clusterLimit(size_t NumLines, double Rate,
   FailureMap Map(NumLines);
   size_t NumClusters = NumLines / ClusterLines;
   auto FailCluster = [&](size_t Cluster) {
-    size_t Base = Cluster * ClusterLines;
-    for (size_t I = 0; I != ClusterLines; ++I)
-      Map.fail(Base + I);
+    Map.Lines.setRange(Cluster * ClusterLines, ClusterLines);
   };
   if (Exact) {
     size_t Want = static_cast<size_t>(
@@ -80,29 +78,10 @@ FailureMap FailureMap::clusterLimit(size_t NumLines, double Rate,
   return Map;
 }
 
-uint64_t FailureMap::pageWord(PageIndex Page) const {
-  assert(Page < numPages() && "page index out of range");
-  uint64_t Word = 0;
-  size_t Base = Page * PcmLinesPerPage;
-  for (size_t I = 0; I != PcmLinesPerPage; ++I)
-    if (Lines.get(Base + I))
-      Word |= uint64_t(1) << I;
-  return Word;
-}
-
-unsigned FailureMap::failedLinesInPage(PageIndex Page) const {
-  assert(Page < numPages() && "page index out of range");
-  size_t Base = Page * PcmLinesPerPage;
-  unsigned N = 0;
-  for (size_t I = 0; I != PcmLinesPerPage; ++I)
-    N += Lines.get(Base + I);
-  return N;
-}
-
 size_t FailureMap::perfectPageCount() const {
   size_t N = 0;
   for (PageIndex Page = 0, E = numPages(); Page != E; ++Page)
-    N += pageIsPerfect(Page);
+    N += pageWord(Page) == 0;
   return N;
 }
 
@@ -131,8 +110,9 @@ FailureMap FailureMap::pushClustered(const ClusterOptions &Opts) const {
   for (size_t Region = 0; Region != NumRegions; ++Region) {
     size_t Base = Region * LinesPerRegion;
     size_t Failed = 0;
-    for (size_t I = 0; I != LinesPerRegion; ++I)
-      Failed += Lines.get(Base + I);
+    for (size_t Page = 0; Page != Opts.RegionPages; ++Page)
+      Failed += static_cast<size_t>(
+          std::popcount(pageWord(Region * Opts.RegionPages + Page)));
     if (Failed == 0)
       continue;
     // Unusable = wear failures plus the redirection map's metadata lines,
@@ -140,13 +120,8 @@ FailureMap FailureMap::pushClustered(const ClusterOptions &Opts) const {
     size_t Unusable = std::min(Failed + Meta, LinesPerRegion);
     bool ToStart = Opts.Policy == ClusterPolicy::AllToStart ||
                    (Region % 2 == 0);
-    if (ToStart) {
-      for (size_t I = 0; I != Unusable; ++I)
-        Out.fail(Base + I);
-    } else {
-      for (size_t I = 0; I != Unusable; ++I)
-        Out.fail(Base + LinesPerRegion - 1 - I);
-    }
+    Out.Lines.setRange(ToStart ? Base : Base + LinesPerRegion - Unusable,
+                       Unusable);
   }
   return Out;
 }

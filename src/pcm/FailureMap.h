@@ -31,6 +31,7 @@
 #include "support/Bitmap.h"
 #include "support/Random.h"
 
+#include <cassert>
 #include <cstdint>
 #include <vector>
 
@@ -57,7 +58,8 @@ struct ClusterOptions {
   bool ChargeMetadata = true;
 };
 
-/// One bit per 64 B PCM line over a span of pages.
+/// One bit per 64 B PCM line over a span of pages, stored as the OS
+/// table of Section 3.2.1: one 64-bit word per page, bit i = line i.
 class FailureMap {
 public:
   FailureMap() = default;
@@ -83,6 +85,10 @@ public:
   /// Un-fails a line (the OS remapped the page to a perfect physical
   /// page, so the address no longer maps to worn-out cells).
   void clear(LineIndex Line) { Lines.clear(Line); }
+  /// Un-fails lines [From, From + Count), a word at a time.
+  void clearRange(LineIndex From, size_t Count) {
+    Lines.clearRange(From, Count);
+  }
 
   size_t failedCount() const { return Lines.count(); }
 
@@ -94,24 +100,24 @@ public:
   }
 
   /// The page's failure map as one 64-bit word (bit i = line i failed),
-  /// the OS table encoding of Section 3.2.1.
-  uint64_t pageWord(PageIndex Page) const;
-
-  /// Count of failed lines within one page.
-  unsigned failedLinesInPage(PageIndex Page) const;
-
-  /// True if the page has no failed lines.
-  bool pageIsPerfect(PageIndex Page) const {
-    return failedLinesInPage(Page) == 0;
+  /// the OS table encoding of Section 3.2.1. The map stores exactly these
+  /// words, so this is one load; a page's failed-line count is the
+  /// word's popcount and a perfect page is a zero word.
+  uint64_t pageWord(PageIndex Page) const {
+    static_assert(PcmLinesPerPage == 64, "one map word per page");
+    assert(Page < numPages() && "page index out of range");
+    return Lines.word(Page);
   }
 
-  /// Number of perfect pages in the whole map.
+  /// Number of perfect pages in the whole map: one zero-word test per
+  /// page.
   size_t perfectPageCount() const;
 
   /// Applies the clustering-hardware transform: failures (plus metadata
   /// lines) move to one end of each region. The failed-line count can only
   /// grow (by the metadata charge); positions change, totals of *wear*
-  /// failures are preserved.
+  /// failures are preserved. Costs a popcount per page word and one
+  /// masked range per failing region.
   FailureMap pushClustered(const ClusterOptions &Opts) const;
 
   /// Number of redirection-map metadata lines for a region of

@@ -80,6 +80,18 @@ public:
       W = 0;
   }
 
+  /// Sets bits [From, From + Count), a word mask at a time.
+  void setRange(size_t From, size_t Count) {
+    forEachRangeWord(From, Count,
+                     [](uint64_t &W, uint64_t Mask) { W |= Mask; });
+  }
+
+  /// Clears bits [From, From + Count), a word mask at a time.
+  void clearRange(size_t From, size_t Count) {
+    forEachRangeWord(From, Count,
+                     [](uint64_t &W, uint64_t Mask) { W &= ~Mask; });
+  }
+
   /// Number of set bits.
   size_t count() const {
     size_t N = 0;
@@ -109,6 +121,23 @@ public:
   }
 
 private:
+  /// Calls \p Apply(Word, Mask) for each word that bits [From, From +
+  /// Count) touch, with Mask selecting the range's bits in that word.
+  template <typename ApplyFn>
+  void forEachRangeWord(size_t From, size_t Count, ApplyFn Apply) {
+    assert(From <= NumBits && Count <= NumBits - From &&
+           "bitmap range out of range");
+    while (Count != 0) {
+      size_t Bit = From % 64;
+      size_t Take = Count < 64 - Bit ? Count : 64 - Bit;
+      uint64_t Mask = Take == 64 ? ~uint64_t(0)
+                                 : ((uint64_t(1) << Take) - 1) << Bit;
+      Apply(Words[From / 64], Mask);
+      From += Take;
+      Count -= Take;
+    }
+  }
+
   void maskTail() {
     if (NumBits % 64 != 0 && !Words.empty())
       Words.back() &= (uint64_t(1) << (NumBits % 64)) - 1;

@@ -6,6 +6,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "heap/Block.h"
+#include "support/Random.h"
 
 #include <gtest/gtest.h>
 
@@ -61,6 +62,42 @@ TEST(BlockTest, FailureWordIntakeExpandsToImmixLines) {
   EXPECT_EQ(G.TheBlock->failedLines(), 2u);
   EXPECT_TRUE(G.TheBlock->lineIsFailed(0));
   EXPECT_TRUE(G.TheBlock->lineIsFailed(2 * 64 + 17));
+}
+
+TEST(BlockTest, FailureWordIntakeMatchesAPerBitLoop) {
+  // Random words at several densities, including all-failed pages, for
+  // each Immix line size: the set-bit walk must fail exactly the lines a
+  // test of every bit fails.
+  Rng Rand(0xB10C);
+  for (size_t LineSize : {64u, 128u, 256u}) {
+    for (unsigned Density : {0u, 1u, 8u, 32u, 63u, 64u}) {
+      uint64_t Words[8];
+      for (uint64_t &W : Words) {
+        W = 0;
+        for (unsigned Bit = 0; Bit != 64; ++Bit)
+          if (Rand.nextBelow(64) < Density)
+            W |= uint64_t(1) << Bit;
+      }
+      BlockFixture F(LineSize);
+      F.TheBlock->applyFailureWords(Words, 8);
+      size_t PcmLinesPerLine = LineSize / PcmLineSize;
+      unsigned WantFailed = 0;
+      for (unsigned Line = 0; Line != F.TheBlock->lineCount(); ++Line) {
+        bool Want = false;
+        for (size_t I = 0; I != PcmLinesPerLine; ++I) {
+          size_t PcmLine = Line * PcmLinesPerLine + I;
+          Want |= (Words[PcmLine / 64] >> (PcmLine % 64)) & 1;
+        }
+        WantFailed += Want;
+        ASSERT_EQ(F.TheBlock->lineIsFailed(Line), Want)
+            << LineSize << " B lines, density " << Density << ", line "
+            << Line;
+      }
+      EXPECT_EQ(F.TheBlock->failedLines(), WantFailed);
+      EXPECT_EQ(F.TheBlock->freeLines(),
+                F.TheBlock->lineCount() - WantFailed);
+    }
+  }
 }
 
 TEST(BlockTest, CountLinesMarkedMatchesAByteScan) {

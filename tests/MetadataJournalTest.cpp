@@ -6,8 +6,11 @@
 //===----------------------------------------------------------------------===//
 
 #include "os/MetadataJournal.h"
+#include "support/Random.h"
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
 
 using namespace wearmem;
 
@@ -230,4 +233,79 @@ TEST(MetadataJournalTest, CompactResetsBaselineAndJournal) {
       reconcileJournal(J.scan(), DS->Baseline, DS->DeviceTruth);
   EXPECT_EQ(Again.RecordsReplayed, 0u);
   EXPECT_TRUE(Again.Reconciled.isFailed(4 * PcmLinesPerPage + 8));
+}
+
+// The page remap's range clear, in the device map and in the replay, and
+// the reconcile's divergence counts, against per-line loops: random
+// device and baseline maps of equal and unequal lengths, whole pages and
+// partial last words, failures and remaps on pages past either map's end.
+TEST(MetadataJournalTest, RemapAndReconcileMatchPerLineLoops) {
+  Rng Rand(0x10C);
+  for (size_t DeviceLines : {64u, 100u, 512u, 577u})
+    for (size_t BaselineLines : {64u, 100u, 512u, 577u}) {
+      auto DS = std::make_shared<DurableState>();
+      DS->DeviceTruth = FailureMap(DeviceLines);
+      DS->Baseline = FailureMap(BaselineLines);
+      for (size_t Line = 0; Line != DeviceLines; ++Line)
+        if (Rand.nextBool(0.3))
+          DS->DeviceTruth.fail(Line);
+      for (size_t Line = 0; Line != BaselineLines; ++Line)
+        if (Rand.nextBool(0.3))
+          DS->Baseline.fail(Line);
+      FailureMap WantDevice = DS->DeviceTruth;
+      FailureMap WantView = DS->Baseline;
+      auto Apply = [](FailureMap &Map, uint64_t Line, bool Fail) {
+        if (Line >= Map.numLines())
+          return;
+        if (Fail)
+          Map.fail(Line);
+        else
+          Map.clear(Line);
+      };
+
+      MetadataJournal J(DS);
+      uint64_t Pages = std::max(DeviceLines, BaselineLines) / 64 + 2;
+      for (unsigned Op = 0; Op != 80; ++Op) {
+        auto Page = static_cast<uint32_t>(Rand.nextBelow(Pages));
+        uint64_t First = uint64_t(Page) * PcmLinesPerPage;
+        if (Rand.nextBelow(4) == 0) {
+          J.recordPageRemap(Page);
+          for (uint64_t I = 0; I != PcmLinesPerPage; ++I) {
+            Apply(WantDevice, First + I, false);
+            Apply(WantView, First + I, false);
+          }
+        } else {
+          auto LineInPage = static_cast<uint32_t>(Rand.nextBelow(64));
+          J.recordLineFailure(Page, LineInPage);
+          Apply(WantDevice, First + LineInPage, true);
+          Apply(WantView, First + LineInPage, true);
+        }
+      }
+      // Stale journal claims: the device no longer confirms some lines.
+      for (size_t Line = 0; Line != DeviceLines; ++Line)
+        if (Rand.nextBelow(8) == 0) {
+          DS->DeviceTruth.clear(Line);
+          WantDevice.clear(Line);
+        }
+      ASSERT_TRUE(DS->DeviceTruth == WantDevice)
+          << DeviceLines << " device lines";
+
+      ReconcileResult Rec =
+          reconcileJournal(J.scan(), DS->Baseline, DS->DeviceTruth);
+      EXPECT_TRUE(Rec.Reconciled == WantDevice);
+      EXPECT_TRUE(Rec.JournalView == WantView);
+      uint64_t JournalOnly = 0, DeviceOnly = 0;
+      for (size_t Line = 0; Line != std::min(DeviceLines, BaselineLines);
+           ++Line) {
+        bool Jf = WantView.isFailed(Line), Df = WantDevice.isFailed(Line);
+        JournalOnly += Jf && !Df;
+        DeviceOnly += Df && !Jf;
+      }
+      EXPECT_EQ(Rec.JournalOnlyLines, JournalOnly)
+          << DeviceLines << " device lines, " << BaselineLines
+          << " baseline lines";
+      EXPECT_EQ(Rec.DeviceOnlyLines, DeviceOnly)
+          << DeviceLines << " device lines, " << BaselineLines
+          << " baseline lines";
+    }
 }

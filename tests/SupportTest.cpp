@@ -101,6 +101,27 @@ TEST(BitmapTest, SetAllMasksTheTail) {
   EXPECT_EQ(Map.count(), 200u);
 }
 
+TEST(BitmapTest, RangesMatchPerBitLoops) {
+  // Every range of a 200-bit map (three full words and a partial one),
+  // set over a clear map and cleared from a full one.
+  constexpr size_t Bits = 200;
+  for (size_t From = 0; From <= Bits; ++From)
+    for (size_t Count = 0; From + Count <= Bits; ++Count) {
+      Bitmap Set(Bits), WantSet(Bits);
+      Set.setRange(From, Count);
+      Bitmap Cleared(Bits), WantCleared(Bits);
+      Cleared.setAll();
+      WantCleared.setAll();
+      Cleared.clearRange(From, Count);
+      for (size_t I = From; I != From + Count; ++I) {
+        WantSet.set(I);
+        WantCleared.clear(I);
+      }
+      ASSERT_TRUE(Set == WantSet) << From << "+" << Count;
+      ASSERT_TRUE(Cleared == WantCleared) << From << "+" << Count;
+    }
+}
+
 TEST(StatsTest, RunningStat) {
   RunningStat Stat;
   for (double V : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0})
